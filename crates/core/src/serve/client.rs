@@ -232,11 +232,28 @@ impl Client {
         self.sessions.get(alias)?.prepared.as_ref()
     }
 
-    /// Drops the client-side record for `alias` (the server session, if
-    /// any, idles out by TTL). A later call with the same alias starts
-    /// from a fresh `prepare`.
-    pub fn forget(&mut self, alias: &str) {
-        self.sessions.remove(alias);
+    /// Closes `alias`: drops its client-side record and, if it has a
+    /// server session on the live connection, sends that session a
+    /// `close`. Best-effort — one attempt, no retry or backoff, and no
+    /// reconnect (a session on a lost connection is already gone). A
+    /// transport failure drops the connection, like any torn exchange; a
+    /// server error (the session idled out) is ignored. A later call with
+    /// the same alias starts from a fresh `prepare`.
+    pub fn close(&mut self, alias: &str) {
+        let Some(SessionEntry {
+            session: Some(session),
+            ..
+        }) = self.sessions.remove(alias)
+        else {
+            return;
+        };
+        if self.conn.is_none() {
+            return;
+        }
+        let line = request_line("close", &[("session", Json::str(session))]);
+        if let Err(Step::Io(_)) = self.send_recv(line) {
+            self.drop_conn();
+        }
     }
 
     /// Seeds `alias`'s cursor position from a token saved elsewhere: the
@@ -255,9 +272,12 @@ impl Client {
     }
 
     /// Prepares an instance under the client-chosen `alias` and binds a
-    /// server session to it. The spec is kept so the session can be
-    /// re-prepared transparently after resets, restarts, and idle
-    /// evictions.
+    /// server session to it, in one round trip (plus the `hello`
+    /// handshake when it has to connect first). Returns the server's
+    /// `prepare` response — `session`, `fingerprint`, `length`, `states`,
+    /// `unambiguous`, `cached` — which [`Client::last_prepare`] also
+    /// keeps. The spec is kept so the session can be re-prepared
+    /// transparently after resets, restarts, and idle evictions.
     ///
     /// # Errors
     /// [`ClientError`] per the module-level retry contract.
@@ -278,20 +298,9 @@ impl Client {
                 prepared: None,
             },
         );
-        // The generic session machinery re-prepares on demand; driving it
-        // with a `health` probe both establishes the session and checks
-        // the connection in one round trip.
-        let entry = self.rpc(Some(&alias), |_| request_line("health", &[]))?;
-        drop(entry);
-        let session = self
-            .sessions
-            .get(&alias)
-            .and_then(|e| e.session.clone())
-            .expect("rpc established the session");
-        Ok(Json::Obj(vec![
-            ("session".to_string(), Json::str(session)),
-            ("alias".to_string(), Json::str(alias)),
-        ]))
+        // The fresh entry has no session, so the retry loop's re-prepare
+        // is the request itself.
+        self.rpc(Some(&alias), |_| None)
     }
 
     /// Routed `COUNT` on `alias`.
@@ -300,10 +309,10 @@ impl Client {
     /// [`ClientError`] per the module-level retry contract.
     pub fn count(&mut self, alias: &str) -> Result<Json, ClientError> {
         self.rpc(Some(alias), |session| {
-            request_line(
+            Some(request_line(
                 "count",
                 &[("session", Json::str(session.unwrap_or_default()))],
-            )
+            ))
         })
     }
 
@@ -314,10 +323,10 @@ impl Client {
     /// [`ClientError`] per the module-level retry contract.
     pub fn count_exact(&mut self, alias: &str) -> Result<Json, ClientError> {
         self.rpc(Some(alias), |session| {
-            request_line(
+            Some(request_line(
                 "count_exact",
                 &[("session", Json::str(session.unwrap_or_default()))],
-            )
+            ))
         })
     }
 
@@ -328,14 +337,14 @@ impl Client {
     /// [`ClientError`] per the module-level retry contract.
     pub fn sample(&mut self, alias: &str, count: usize, seed: u64) -> Result<Json, ClientError> {
         self.rpc(Some(alias), move |session| {
-            request_line(
+            Some(request_line(
                 "sample",
                 &[
                     ("session", Json::str(session.unwrap_or_default())),
                     ("count", Json::num(count as f64)),
                     ("seed", Json::num(seed as f64)),
                 ],
-            )
+            ))
         })
     }
 
@@ -365,7 +374,7 @@ impl Client {
             if let Some(token) = &token {
                 fields.push(("resume", Json::str(token.clone())));
             }
-            request_line("enumerate", &fields)
+            Some(request_line("enumerate", &fields))
         })?;
         if let Some(token) = value.get("token").and_then(Json::as_str) {
             if let Some(entry) = self.sessions.get_mut(alias) {
@@ -451,7 +460,7 @@ impl Client {
     /// # Errors
     /// [`ClientError`] per the module-level retry contract.
     pub fn health(&mut self) -> Result<Json, ClientError> {
-        self.rpc(None, |_| request_line("health", &[]))
+        self.rpc(None, |_| Some(request_line("health", &[])))
     }
 
     /// The server's `stats` counters.
@@ -459,15 +468,16 @@ impl Client {
     /// # Errors
     /// [`ClientError`] per the module-level retry contract.
     pub fn server_stats(&mut self) -> Result<Json, ClientError> {
-        self.rpc(None, |_| request_line("stats", &[]))
+        self.rpc(None, |_| Some(request_line("stats", &[])))
     }
 
     /// Sends `bye` (best-effort) and drops the connection. The spec
     /// registry survives, so the next request reconnects.
     pub fn bye(&mut self) {
         if let Some(conn) = &mut self.conn {
-            let _ = writeln!(conn.writer, "{}", request_line("bye", &[]));
-            let _ = conn.writer.flush();
+            let _ = conn
+                .writer
+                .write_all(frame(request_line("bye", &[])).as_bytes());
         }
         self.conn = None;
         for entry in self.sessions.values_mut() {
@@ -476,11 +486,14 @@ impl Client {
     }
 
     /// The generic retry loop: classify every failure, recover where the
-    /// contract allows, give up where it does not.
+    /// contract allows, give up where it does not. `build` makes the
+    /// request line from the live server session; `None` means the
+    /// session itself was the request, answered by its `prepare`
+    /// response.
     fn rpc(
         &mut self,
         alias: Option<&str>,
-        build: impl Fn(Option<&str>) -> String,
+        build: impl Fn(Option<&str>) -> Option<String>,
     ) -> Result<Json, ClientError> {
         let mut last = "never attempted".to_string();
         for attempt in 0..self.config.max_attempts.max(1) {
@@ -506,8 +519,11 @@ impl Client {
                     }
                 },
             };
-            let line = build(session.as_deref());
-            match self.send_recv(&line) {
+            let Some(line) = build(session.as_deref()) else {
+                let prepared = alias.and_then(|alias| self.last_prepare(alias));
+                return Ok(prepared.cloned().expect("the session was just prepared"));
+            };
+            match self.send_recv(line) {
                 Ok(value) => return Ok(value),
                 Err(step) => {
                     last = self.classify(step, attempt as u32, alias.unwrap_or(""))?;
@@ -594,7 +610,7 @@ impl Client {
                 None => prepare_line(&entry.spec, entry.length),
             },
         };
-        let value = self.send_recv(&line)?;
+        let value = self.send_recv(line)?;
         let session = value
             .get("session")
             .and_then(Json::as_str)
@@ -632,7 +648,7 @@ impl Client {
             self.stats.reconnects += 1;
         }
         self.stats.connects += 1;
-        match self.send_recv(&request_line("hello", &[])) {
+        match self.send_recv(request_line("hello", &[])) {
             Ok(_) => Ok(()),
             Err(Step::Io(message)) => {
                 self.drop_conn();
@@ -648,13 +664,13 @@ impl Client {
     /// One request/response round trip on the live connection. A torn
     /// frame — EOF mid-line, a line with no trailing newline, or JSON
     /// that does not parse — is a transport failure, never a value.
-    fn send_recv(&mut self, line: &str) -> Result<Json, Step> {
+    fn send_recv(&mut self, line: String) -> Result<Json, Step> {
         let conn = self
             .conn
             .as_mut()
             .ok_or_else(|| Step::Io("not connected".to_string()))?;
-        writeln!(conn.writer, "{line}")
-            .and_then(|()| conn.writer.flush())
+        conn.writer
+            .write_all(frame(line).as_bytes())
             .map_err(|e| Step::Io(format!("write: {e}")))?;
         let mut response = String::new();
         match conn.reader.read_line(&mut response) {
@@ -708,6 +724,13 @@ impl Client {
             attempt,
         ));
     }
+}
+
+/// Terminates a request line, so the whole frame goes out in one write
+/// (on a raw `TcpStream`, `writeln!` would make two `send`s).
+fn frame(mut line: String) -> String {
+    line.push('\n');
+    line
 }
 
 /// Builds one request line with proper JSON escaping.
@@ -783,6 +806,33 @@ mod tests {
         assert!(!words.is_empty());
         assert!(words.iter().all(|w| w.ends_with("11")));
         client.bye();
+        server.shutdown();
+    }
+
+    #[test]
+    fn close_releases_the_server_session() {
+        let (server, handle) = spawn();
+        let mut client = Client::new(handle.addr().to_string(), quick_config());
+        let spec = InstanceSpec::Regex {
+            pattern: "(0|1)*11".to_string(),
+            alphabet: None,
+        };
+        let prepared = client.prepare("job", spec.clone(), 5).unwrap();
+        assert!(
+            prepared.get("fingerprint").is_some(),
+            "the prepare response"
+        );
+        assert_eq!(client.last_prepare("job"), Some(&prepared));
+        assert_eq!(server.stats().sessions_open, 1);
+        client.close("job");
+        assert_eq!(server.stats().sessions_open, 0);
+        assert!(client.last_prepare("job").is_none(), "record dropped");
+        client.close("job");
+        // A session lost with its connection is simply forgotten.
+        client.prepare("job", spec, 5).unwrap();
+        client.bye();
+        client.close("job");
+        assert_eq!(client.stats().connects, 1, "close never reconnects");
         server.shutdown();
     }
 

@@ -182,6 +182,7 @@ impl std::error::Error for JsonParseError {}
 /// [`JsonParseError`] with the offending byte offset.
 pub fn parse(text: &str) -> Result<Json, JsonParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         at: 0,
     };
@@ -195,6 +196,7 @@ pub fn parse(text: &str) -> Result<Json, JsonParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -352,13 +354,16 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte structure is valid by construction).
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one slice. Those stop bytes are
+                    // ASCII, so both ends fall on char boundaries.
                     let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&c| c < 0x20 || c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.at..self.at + run]);
+                    self.at += run;
                 }
             }
         }

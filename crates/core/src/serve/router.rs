@@ -446,13 +446,10 @@ impl RouterInner {
         // `forward`'s migration path re-prepares on its own when the home
         // moved mid-call; the closure covers the first-landing case.
         let prepared = self.forward(&alias, move |client, alias| {
-            if client.last_prepare(alias).is_none() {
-                client.prepare(alias, to_prepare.clone(), length)?;
+            match client.last_prepare(alias) {
+                Some(prepared) => Ok(prepared.clone()),
+                None => client.prepare(alias, to_prepare.clone(), length),
             }
-            client
-                .last_prepare(alias)
-                .cloned()
-                .ok_or_else(|| ClientError::Usage("prepare response not cached".to_string()))
         });
         let fields = match prepared {
             Ok(fields) => fields,
@@ -508,11 +505,13 @@ impl RouterInner {
             if home != route.backend {
                 // The ring moved this session (its home died or the
                 // topology changed): carry the last acknowledged token
-                // across, re-prepare, resume.
-                let token = {
+                // across, re-prepare, resume, then release the old home's
+                // session.
+                let previous = {
                     let backends = self.backends.lock().expect("backends poisoned");
-                    let previous = backends[route.backend].clone();
-                    drop(backends);
+                    backends[route.backend].clone()
+                };
+                let token = {
                     let client = previous.client.lock().expect("client poisoned");
                     client.last_token(session).map(str::to_string)
                 };
@@ -539,6 +538,11 @@ impl RouterInner {
                 {
                     route.backend = home;
                 }
+                previous
+                    .client
+                    .lock()
+                    .expect("client poisoned")
+                    .close(session);
             }
             let mut client = backend.client.lock().expect("client poisoned");
             match op(&mut client, session) {
@@ -610,16 +614,12 @@ impl RouterInner {
     fn drop_route(&self, alias: &str) -> bool {
         let route = self.routes.lock().expect("routes poisoned").remove(alias);
         let Some(route) = route else { return false };
-        // Release the alias on its backend's client (no I/O; the backend
-        // session idles out by its own TTL).
+        // Release the alias and its backend session (one best-effort
+        // `close`; a backend that misses it idles the session out by TTL).
         let backends = self.backends.lock().expect("backends poisoned");
         if let Some(backend) = backends.get(route.backend).cloned() {
             drop(backends);
-            backend
-                .client
-                .lock()
-                .expect("client poisoned")
-                .forget(alias);
+            backend.client.lock().expect("client poisoned").close(alias);
         }
         true
     }
@@ -1056,6 +1056,54 @@ mod tests {
         assert!(router.stats().failovers >= 1);
         assert!(router.stats().backends_lost == 1);
         client.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
+    /// Fleet-wide open backend sessions, as the router's `stats` sums them.
+    fn fleet_sessions_open(client: &mut Client) -> Option<u64> {
+        client
+            .server_stats()
+            .unwrap()
+            .get("server")
+            .and_then(|s| s.get("sessions_open"))
+            .and_then(Json::as_u64)
+    }
+
+    #[test]
+    fn closed_and_abandoned_front_sessions_release_their_backend_sessions() {
+        let (nodes, _router, front) = cluster(2);
+        let mut client = Client::new(front.addr().to_string(), quick_client());
+        for i in 0..24 {
+            let (pattern, length) = SPECS[i % SPECS.len()];
+            let alias = format!("c{i}");
+            client.prepare(&alias, spec(pattern), length).unwrap();
+            client.count(&alias).unwrap();
+            client.close(&alias);
+        }
+        assert_eq!(fleet_sessions_open(&mut client), Some(0), "explicit close");
+        // A front connection that ends with sessions still open.
+        for (i, (pattern, length)) in SPECS.iter().enumerate() {
+            client
+                .prepare(format!("open{i}"), spec(pattern), *length)
+                .unwrap();
+        }
+        assert_eq!(fleet_sessions_open(&mut client), Some(SPECS.len() as u64));
+        client.bye();
+        let mut observer = Client::new(front.addr().to_string(), quick_client());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while fleet_sessions_open(&mut observer) != Some(0) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "backend sessions outlived their front connection: {:?}",
+                fleet_sessions_open(&mut observer)
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        observer.bye();
         drop(front);
         for (server, handle) in nodes {
             drop(handle);

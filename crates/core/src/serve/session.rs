@@ -8,17 +8,21 @@
 //! session survives engine-cache eviction; dropping the session releases
 //! the pin.
 //!
-//! **Idle eviction.** Every registry operation sweeps sessions that have
-//! not been touched within the TTL — a client that walked away mid-stream
-//! does not pin its instance forever. An evicted session behaves exactly
-//! like a closed one (`unknown-session` on next use); the client re-opens
-//! with `prepare` (cheap: the instance is usually still cached) and, for
-//! enumeration, continues from its last resume token — tokens outlive
-//! sessions by design.
+//! **Idle eviction.** Sessions that have not been touched within the TTL
+//! are swept — a client that walked away mid-stream does not pin its
+//! instance forever. The registry keeps a lower bound on the earliest
+//! expiry, so `open`, `take`, `close` and `len` sweep only once something
+//! can have expired: one clock read per call, and a full pass over the
+//! table only past the bound (a sweep before it would remove nothing, so
+//! what callers observe is exactly an every-call sweep). An evicted
+//! session behaves exactly like a closed one (`unknown-session` on next
+//! use); the client re-opens with `prepare` (cheap: the instance is
+//! usually still cached) and, for enumeration, continues from its last
+//! resume token — tokens outlive sessions by design.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lsc_automata::Alphabet;
@@ -39,17 +43,27 @@ pub struct Session {
 
 /// The connection-scoped session table. See the module docs.
 pub struct SessionRegistry {
-    inner: Mutex<HashMap<(u64, String), Session>>,
+    inner: Mutex<Table>,
     ttl: Duration,
     next_id: AtomicU64,
     evicted: AtomicU64,
+}
+
+/// The sessions, plus a lower bound on the earliest `last_used + ttl`
+/// among them (`None` when nothing can expire).
+struct Table {
+    sessions: HashMap<(u64, String), Session>,
+    earliest_expiry: Option<Instant>,
 }
 
 impl SessionRegistry {
     /// A registry whose sessions idle out after `ttl`.
     pub fn new(ttl: Duration) -> SessionRegistry {
         SessionRegistry {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Table {
+                sessions: HashMap::new(),
+                earliest_expiry: None,
+            }),
             ttl,
             next_id: AtomicU64::new(1),
             evicted: AtomicU64::new(0),
@@ -60,15 +74,16 @@ impl SessionRegistry {
     /// (`s1`, `s2`, ...; unique server-wide).
     pub fn open(&self, conn: u64, handle: InstanceHandle, alphabet: Alphabet) -> String {
         let name = format!("s{}", self.next_id.fetch_add(1, Ordering::Relaxed));
-        let mut inner = self.inner.lock().expect("session registry poisoned");
-        self.sweep(&mut inner);
-        inner.insert(
+        let mut table = self.lock();
+        let now = self.sweep(&mut table);
+        self.insert(
+            &mut table,
             (conn, name.clone()),
             Session {
                 handle,
                 alphabet,
                 cursor: None,
-                last_used: Instant::now(),
+                last_used: now,
             },
         );
         name
@@ -79,44 +94,42 @@ impl SessionRegistry {
     /// must be returned via [`SessionRegistry::put_back`]. `None` if the
     /// connection has no such session (never opened, closed, or evicted).
     pub fn take(&self, conn: u64, name: &str) -> Option<Session> {
-        let mut inner = self.inner.lock().expect("session registry poisoned");
-        self.sweep(&mut inner);
-        inner.remove(&(conn, name.to_string())).map(|mut s| {
-            s.last_used = Instant::now();
-            s
-        })
+        let mut table = self.lock();
+        let now = self.sweep(&mut table);
+        table
+            .sessions
+            .remove(&(conn, name.to_string()))
+            .map(|mut s| {
+                s.last_used = now;
+                s
+            })
     }
 
     /// Returns a checked-out session to the table, refreshing its idle
     /// clock.
     pub fn put_back(&self, conn: u64, name: &str, mut session: Session) {
         session.last_used = Instant::now();
-        self.inner
-            .lock()
-            .expect("session registry poisoned")
-            .insert((conn, name.to_string()), session);
+        let mut table = self.lock();
+        self.insert(&mut table, (conn, name.to_string()), session);
     }
 
     /// Closes one session. Returns whether it existed.
     pub fn close(&self, conn: u64, name: &str) -> bool {
-        let mut inner = self.inner.lock().expect("session registry poisoned");
-        self.sweep(&mut inner);
-        inner.remove(&(conn, name.to_string())).is_some()
+        let mut table = self.lock();
+        self.sweep(&mut table);
+        table.sessions.remove(&(conn, name.to_string())).is_some()
     }
 
     /// Drops every session a connection owns (the disconnect hook).
     pub fn drop_conn(&self, conn: u64) {
-        self.inner
-            .lock()
-            .expect("session registry poisoned")
-            .retain(|(owner, _), _| *owner != conn);
+        self.lock().sessions.retain(|(owner, _), _| *owner != conn);
     }
 
     /// Open sessions, server-wide.
     pub fn len(&self) -> usize {
-        let mut inner = self.inner.lock().expect("session registry poisoned");
-        self.sweep(&mut inner);
-        inner.len()
+        let mut table = self.lock();
+        self.sweep(&mut table);
+        table.sessions.len()
     }
 
     /// True when no sessions are open.
@@ -129,15 +142,53 @@ impl SessionRegistry {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    fn sweep(&self, inner: &mut HashMap<(u64, String), Session>) {
-        let before = inner.len();
-        let ttl = self.ttl;
-        inner.retain(|_, s| s.last_used.elapsed() <= ttl);
-        let evicted = before - inner.len();
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.inner.lock().expect("session registry poisoned")
+    }
+
+    /// When `session` idles out (`None`: never, the TTL overflows).
+    fn expiry(&self, session: &Session) -> Option<Instant> {
+        session.last_used.checked_add(self.ttl)
+    }
+
+    fn insert(&self, table: &mut Table, key: (u64, String), session: Session) {
+        if let Some(expiry) = self.expiry(&session) {
+            lower_to(&mut table.earliest_expiry, expiry);
+        }
+        table.sessions.insert(key, session);
+    }
+
+    /// Evicts every session idle past the TTL, but only once `now` is past
+    /// the earliest-expiry bound; recomputes the bound from the survivors.
+    /// Returns `now`, the call's one clock read.
+    fn sweep(&self, table: &mut Table) -> Instant {
+        let now = Instant::now();
+        if table.earliest_expiry.is_none_or(|bound| now <= bound) {
+            return now;
+        }
+        let before = table.sessions.len();
+        let mut earliest: Option<Instant> = None;
+        table.sessions.retain(|_, s| {
+            let Some(expiry) = self.expiry(s) else {
+                return true;
+            };
+            if now > expiry {
+                return false;
+            }
+            lower_to(&mut earliest, expiry);
+            true
+        });
+        table.earliest_expiry = earliest;
+        let evicted = before - table.sessions.len();
         if evicted > 0 {
             self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
         }
+        now
     }
+}
+
+fn lower_to(bound: &mut Option<Instant>, expiry: Instant) {
+    *bound = Some(bound.map_or(expiry, |b| b.min(expiry)));
 }
 
 #[cfg(test)]
@@ -187,5 +238,73 @@ mod tests {
         assert!(registry.take(1, &name).is_none(), "idled out");
         assert_eq!(registry.evicted(), 1);
         assert!(registry.is_empty());
+    }
+
+    #[test]
+    fn a_refreshed_session_outlives_its_first_expiry() {
+        let engine = Engine::with_defaults();
+        let ttl = Duration::from_millis(200);
+        let registry = SessionRegistry::new(ttl);
+        let name = registry.open(1, handle(&engine), Alphabet::binary());
+        // Touch it every quarter TTL for three TTLs: the bound set at open
+        // passes, the sweep runs, and the refreshed entry must survive it.
+        for _ in 0..12 {
+            std::thread::sleep(ttl / 4);
+            let session = registry.take(1, &name).expect("refreshed, still open");
+            registry.put_back(1, &name, session);
+        }
+        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.evicted(), 0);
+    }
+
+    #[test]
+    fn take_close_and_len_each_see_one_eviction() {
+        type Observe = fn(&SessionRegistry, &str) -> bool;
+        let observers: [(&str, Observe); 3] = [
+            ("take", |r, name| r.take(1, name).is_some()),
+            ("close", |r, name| r.close(1, name)),
+            ("len", |r, _| !r.is_empty()),
+        ];
+        let engine = Engine::with_defaults();
+        for (first, observe) in observers {
+            let registry = SessionRegistry::new(Duration::from_millis(20));
+            let name = registry.open(1, handle(&engine), Alphabet::binary());
+            std::thread::sleep(Duration::from_millis(40));
+            assert!(!observe(&registry, &name), "{first} saw an idle session");
+            assert_eq!(registry.evicted(), 1, "{first} swept");
+            for (_, again) in observers {
+                assert!(!again(&registry, &name), "evicted session came back");
+            }
+            assert_eq!(registry.evicted(), 1, "evicted once, after {first}");
+        }
+    }
+
+    #[test]
+    fn len_is_exact_under_a_mix_of_refreshed_and_idle_sessions() {
+        let engine = Engine::with_defaults();
+        let shared = handle(&engine);
+        let ttl = Duration::from_secs(1);
+        let registry = SessionRegistry::new(ttl);
+        let names: Vec<String> = (0..200)
+            .map(|i| registry.open(i % 7, shared.clone(), Alphabet::binary()))
+            .collect();
+        assert_eq!(registry.len(), 200);
+        std::thread::sleep(ttl * 3 / 5);
+        for (i, name) in names.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+            let conn = i as u64 % 7;
+            let session = registry.take(conn, name).expect("not idle yet");
+            registry.put_back(conn, name, session);
+        }
+        assert_eq!(registry.len(), 200, "nothing has expired yet");
+        std::thread::sleep(ttl * 3 / 5);
+        // The untouched half is past the TTL, the refreshed half is not.
+        assert_eq!(registry.len(), 100);
+        assert_eq!(registry.evicted(), 100);
+        for (i, name) in names.iter().enumerate() {
+            let conn = i as u64 % 7;
+            assert_eq!(registry.close(conn, name), i % 2 == 0, "session {i}");
+        }
+        assert!(registry.is_empty());
+        assert_eq!(registry.evicted(), 100);
     }
 }

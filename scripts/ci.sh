@@ -3,7 +3,8 @@
 # rustdoc gate must be clean, the quickstart + serve_client examples must
 # run, and the engine + cursor + serve benches must at least execute (smoke
 # invocations with a tiny sample budget — trajectory numbers come from
-# scripts/bench.sh).
+# scripts/bench.sh), and the perfbench harness must pass its own tests and a
+# short checked run of the routed workload.
 #
 # Usage: scripts/ci.sh
 
@@ -109,6 +110,12 @@ echo "== bench smoke: serve warm-restart =="
 LSC_CRITERION_SAMPLES=2 \
 LSC_CRITERION_DIR="$(pwd)/target/lsc-criterion-ci-serve" \
 cargo bench -p lsc-bench --bench serve -- e17-warm-restart
+
+echo "== perfbench: harness tests =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench: 2 s checked routed-wire smoke =="
+python3 perfbench/run.py --workload routed-wire --seed 1 --seconds 2 --trace 0
 
 echo "== bench gate: E20-E23 kernel + transport regression check =="
 scripts/bench_check.sh

@@ -8,9 +8,16 @@
 //! This test pins that with a counting global allocator: a regression that
 //! reintroduces a per-request automaton copy fails the bound by an order of
 //! magnitude.
+//!
+//! The allocator counts per thread, and each guard reads only its own
+//! thread's counter: the test harness runs the guards in parallel, and a
+//! process-wide counter charged one guard's window with whatever its
+//! sibling allocated at the same time (the 20k-state automaton below).
+//! The guarded code is single-threaded (`Engine::with_defaults` runs
+//! batches on one thread), so nothing it allocates escapes its counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use logspace_repro::prelude::*;
@@ -20,11 +27,23 @@ use rand::SeedableRng;
 
 struct CountingAllocator;
 
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialized and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED_BYTES.try_with(|total| total.set(total.get() + bytes));
+}
+
+fn allocated_so_far() -> usize {
+    ALLOCATED_BYTES.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -35,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Count only the growth: a shrink frees, and a grow allocates the
         // delta in the worst case.
-        ALLOCATED_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,9 +63,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static COUNTER: CountingAllocator = CountingAllocator;
 
 fn allocated_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let before = allocated_so_far();
     let value = f();
-    (ALLOCATED_BYTES.load(Ordering::Relaxed) - before, value)
+    (allocated_so_far() - before, value)
 }
 
 #[test]
