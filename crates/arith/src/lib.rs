@@ -26,4 +26,4 @@ mod random;
 
 pub use bigfloat::BigFloat;
 pub use bignat::{BigNat, ParseBigNatError};
-pub use random::uniform_below_u64;
+pub use random::{masked_uniform_below_u64, uniform_below_u64};

@@ -1,6 +1,7 @@
 //! E1/E2 timing: the #NFA FPRAS across families and sizes.
 //! E21/E22: the union-estimator and completion-DP kernel micro-benches
 //! behind the `BENCH_fpras.json` kernel speedup figures.
+//! E27: a warm `GEN` request on a built sketch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_arith::{BigFloat, BigNat};
@@ -10,10 +11,11 @@ use lsc_automata::{StateSet, Word};
 use lsc_bench::workloads;
 use lsc_core::fpras::{
     approx_count, estimate_union_packed, estimate_union_quadratic, estimate_union_with_mask,
-    FprasParams, MaskArena, SampleEntry, VertexData,
+    run_fpras, FprasParams, MaskArena, SampleEntry, SharedWitnessSampler, VertexData,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn fpras_accuracy_suite(c: &mut Criterion) {
     let mut group = c.benchmark_group("fpras/e1-families");
@@ -194,6 +196,32 @@ fn fpras_completion_dp(c: &mut Criterion) {
     group.finish();
 }
 
+/// E27: one 8-draw `sample` request on a warm `contains-101@24` sketch, the
+/// way the engine serves it — a new sampler per request, each witness
+/// retried up to the engine's default budget of 256 attempts. Times the Las
+/// Vegas walks and whatever per-request set-up the sampler pays.
+fn fpras_warm_gen(c: &mut Criterion) {
+    const DRAWS: usize = 8;
+    const RETRIES: usize = 256;
+    let w = workloads::speedup_instance();
+    let state = {
+        let mut rng = StdRng::seed_from_u64(27);
+        Arc::new(run_fpras(&w.nfa, w.n, FprasParams::quick(), &mut rng).unwrap())
+    };
+    let mut group = c.benchmark_group("fpras/e27-warm-gen");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::from_parameter("8-draw-request"), |b| {
+        let mut rng = StdRng::seed_from_u64(28);
+        b.iter(|| {
+            let mut sampler = SharedWitnessSampler::new(state.clone());
+            (0..DRAWS)
+                .filter_map(|_| (0..RETRIES).find_map(|_| sampler.sample(&mut rng)))
+                .count()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     fpras_accuracy_suite,
@@ -201,6 +229,7 @@ criterion_group!(
     fpras_scaling_m,
     fpras_opt_vs_baseline,
     fpras_union_kernel,
-    fpras_completion_dp
+    fpras_completion_dp,
+    fpras_warm_gen
 );
 criterion_main!(benches);

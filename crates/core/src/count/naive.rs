@@ -10,9 +10,9 @@
 //! expectation (`E[P/P_x] = |L_n|`), cheap per sample, and falls apart on the
 //! ambiguity-gap family where run counts differ exponentially across words.
 
-use lsc_arith::{BigFloat, BigNat};
-use lsc_automata::unroll::UnrolledDag;
-use lsc_automata::{Nfa, Word};
+use lsc_arith::{masked_uniform_below_u64, BigFloat, BigNat};
+use lsc_automata::unroll::{NodeId, UnrolledDag};
+use lsc_automata::{Nfa, Symbol, Word};
 use rand::Rng;
 
 /// One naive estimate of `|L_n(N)|` from `samples` uniformly random accepting
@@ -43,6 +43,11 @@ pub fn naive_estimate<R: Rng + ?Sized>(
 /// Draws the label word of a uniformly random accepting path (each *path* is
 /// equally likely — which is exactly the bias the paper criticizes: words with
 /// many runs are oversampled).
+///
+/// A level whose completion count fits one `u64` limb draws and subtracts in
+/// `u64` (every successor's count is at most its predecessor's, so they fit
+/// too), consuming the rng exactly as the `BigNat` level does; only levels
+/// with more than 2^64 completions allocate.
 pub fn sample_uniform_path<R: Rng + ?Sized>(
     dag: &UnrolledDag,
     completions: &[BigNat],
@@ -51,24 +56,52 @@ pub fn sample_uniform_path<R: Rng + ?Sized>(
     let mut cur = dag.start().expect("nonempty dag");
     let mut word = Vec::with_capacity(dag.word_length());
     for _ in 0..dag.word_length() {
-        let total = &completions[cur];
-        let mut draw = BigNat::uniform_below(total, rng);
-        let mut chosen = None;
-        for &(sym, succ) in dag.out_edges(cur) {
-            let weight = &completions[succ];
-            match draw.checked_sub(weight) {
-                Some(rest) => draw = rest,
-                None => {
-                    chosen = Some((sym, succ));
-                    break;
-                }
-            }
-        }
-        let (sym, succ) = chosen.expect("completion counts cover all mass");
+        let (sym, succ) = match completions[cur].to_u64() {
+            Some(total) => choose_edge_u64(dag, completions, cur, total, rng),
+            None => choose_edge_big(dag, completions, cur, rng),
+        };
         word.push(sym);
         cur = succ;
     }
     word
+}
+
+/// One level of [`sample_uniform_path`] in `u64` arithmetic.
+fn choose_edge_u64<R: Rng + ?Sized>(
+    dag: &UnrolledDag,
+    completions: &[BigNat],
+    cur: NodeId,
+    total: u64,
+    rng: &mut R,
+) -> (Symbol, NodeId) {
+    let mut draw = masked_uniform_below_u64(total, rng);
+    for &(sym, succ) in dag.out_edges(cur) {
+        let weight = completions[succ]
+            .to_u64()
+            .expect("a successor's completions fit its predecessor's limb");
+        match draw.checked_sub(weight) {
+            Some(rest) => draw = rest,
+            None => return (sym, succ),
+        }
+    }
+    unreachable!("completion counts cover all mass")
+}
+
+/// One level of [`sample_uniform_path`] in `BigNat` arithmetic.
+fn choose_edge_big<R: Rng + ?Sized>(
+    dag: &UnrolledDag,
+    completions: &[BigNat],
+    cur: NodeId,
+    rng: &mut R,
+) -> (Symbol, NodeId) {
+    let mut draw = BigNat::uniform_below(&completions[cur], rng);
+    for &(sym, succ) in dag.out_edges(cur) {
+        match draw.checked_sub(&completions[succ]) {
+            Some(rest) => draw = rest,
+            None => return (sym, succ),
+        }
+    }
+    unreachable!("completion counts cover all mass")
 }
 
 /// `P_x`: the number of accepting runs of `nfa` on `word` (run-count DP).
@@ -139,6 +172,45 @@ mod tests {
         }
         // The vast majority of 10-sample estimates undershoot badly.
         assert!(low >= 15, "only {low}/20 estimates undershot");
+    }
+
+    /// [`sample_uniform_path`] with every level in `BigNat` arithmetic —
+    /// the reference the one-limb fast path must reproduce draw for draw.
+    fn sample_path_bignat_only(
+        dag: &UnrolledDag,
+        completions: &[BigNat],
+        rng: &mut StdRng,
+    ) -> Word {
+        let mut cur = dag.start().expect("nonempty dag");
+        let mut word = Vec::new();
+        for _ in 0..dag.word_length() {
+            let (sym, succ) = choose_edge_big(dag, completions, cur, rng);
+            word.push(sym);
+            cur = succ;
+        }
+        word
+    }
+
+    #[test]
+    fn one_limb_fast_path_draws_the_bignat_stream() {
+        // blowup(5)@20 has 2^19 words: every level takes the u64 path.
+        // blowup(5)@80 has 2^79: the upper levels stay in BigNat and the
+        // walk switches to u64 once the remaining count fits one limb.
+        for (n, words_log2) in [(20usize, 19), (80, 79)] {
+            let dag = UnrolledDag::build(&blowup_nfa(5), n);
+            let completions = dag.completion_counts();
+            let start = dag.start().unwrap();
+            assert_eq!(completions[start], BigNat::pow2(words_log2));
+            let mut fast = StdRng::seed_from_u64(n as u64);
+            let mut slow = StdRng::seed_from_u64(n as u64);
+            for i in 0..200 {
+                assert_eq!(
+                    sample_uniform_path(&dag, &completions, &mut fast),
+                    sample_path_bignat_only(&dag, &completions, &mut slow),
+                    "n={n}: draw {i} diverged"
+                );
+            }
+        }
     }
 
     #[test]

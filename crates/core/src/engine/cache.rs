@@ -930,6 +930,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fpras::FprasParams;
     use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa};
     use lsc_automata::regex::Regex;
     use lsc_automata::Alphabet;
@@ -1023,6 +1024,52 @@ mod tests {
             engine.stats().bytes > before,
             "hit-path re-measure must record tables built through the Arc"
         );
+    }
+
+    #[test]
+    fn retained_sample_memo_is_charged_to_the_instance() {
+        // The FPRAS route (probe off): samples walk the cached sketch, and
+        // the weight memo they leave behind lives as long as the instance.
+        let fpras_route = |cache_bytes| {
+            let mut fpras = FprasParams::quick();
+            fpras.k = 16;
+            EngineConfig {
+                cache_bytes,
+                router: RouterConfig {
+                    determinization_cap: 0,
+                    fpras,
+                    classify_ambiguity: false,
+                },
+                ..EngineConfig::default()
+            }
+        };
+        let gap = Arc::new(ambiguity_gap_nfa(4));
+        let sample =
+            |h: &InstanceHandle, seed| QueryRequest::on(h, QueryKind::Sample { count: 8 }, seed);
+        let engine = Engine::new(fpras_route(EngineConfig::default().cache_bytes));
+        let handle = engine.prepare_nfa(&gap, 10);
+        engine.query(&QueryRequest::on(&handle, QueryKind::Count, 0)); // builds the sketch
+        let (inst_before, engine_before) = (handle.instance().approx_bytes(), engine.stats().bytes);
+        for seed in 0..4 {
+            assert!(engine.query(&sample(&handle, seed)).output.is_ok());
+        }
+        assert!(handle.instance().approx_bytes() > inst_before);
+        assert!(engine.stats().bytes > engine_before);
+
+        // Over a one-byte cap the next prepare still evicts the instance,
+        // and its memo leaves the byte total with it.
+        let engine = Engine::new(fpras_route(1));
+        let handle = engine.prepare_nfa(&gap, 10);
+        assert!(engine.query(&sample(&handle, 1)).output.is_ok());
+        let sketch = handle.instance().sketch_snapshot().expect("sketch built").1;
+        assert!(
+            sketch.retained_memo_bytes() > 0,
+            "the sample retained a memo"
+        );
+        let other = engine.prepare_nfa(&Arc::new(blowup_nfa(4)), 10);
+        let stats = engine.stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 1));
+        assert_eq!(stats.bytes, other.instance().approx_bytes());
     }
 
     #[test]

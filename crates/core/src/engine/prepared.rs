@@ -525,14 +525,16 @@ impl PreparedInstance {
     /// tables only count once they exist, so an entry's recorded size grows
     /// as queries warm it up. The per-table measurements are memoized
     /// (tables are immutable once built), so re-measuring a warm instance —
-    /// which the engine does on every touch — is O(1).
+    /// which the engine does on every touch — is O(1). The weight memo the
+    /// cached sketch retains for `GEN` counts too, as of the last sampler
+    /// that returned it ([`FprasState::retained_memo_bytes`]).
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>()
             + self.nfa.num_transitions() * std::mem::size_of::<(u32, usize)>()
             + self.nfa.num_states() * std::mem::size_of::<usize>();
         match self.sketch.get() {
             // The sketch's estimate already includes the shared DAG once.
-            Some((_, Ok(s))) => bytes += s.approx_bytes(),
+            Some((_, Ok(s))) => bytes += s.approx_bytes() + s.retained_memo_bytes(),
             _ => bytes += self.dag.get().map_or(0, |d| d.approx_bytes()),
         }
         if let Some(c) = self.completions.get() {

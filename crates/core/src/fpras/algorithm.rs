@@ -7,7 +7,8 @@
 //! Algorithm 4 (step 5). The final answer is the estimate at the virtual final
 //! vertex, whose "predecessors" are the accepting vertices of layer `n`.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lsc_arith::BigFloat;
 use lsc_automata::unroll::{NodeId, UnrolledDag};
@@ -64,6 +65,12 @@ impl std::error::Error for FprasError {}
 /// The automaton and DAG are held behind [`Arc`]s so a prepared instance
 /// ([`crate::engine::PreparedInstance`]) can share one unrolling between the
 /// sketch, the enumerators, and the exact tables without cloning.
+///
+/// The state also keeps one idle sampler scratch, weight memo included, so
+/// that every witness sampler built on it after the first starts warm (see
+/// [`FprasState::witness_sampler`]). The memo is not part of the sketch: it
+/// is a pure function of the frozen sketch, changes no draw, and is not
+/// persisted.
 pub struct FprasState {
     nfa: Arc<Nfa>,
     dag: Arc<UnrolledDag>,
@@ -72,7 +79,12 @@ pub struct FprasState {
     final_r: BigFloat,
     /// Memoized [`FprasState::approx_bytes`] — the sketch is immutable after
     /// construction, so the sample walk is paid at most once.
-    bytes: std::sync::OnceLock<usize>,
+    bytes: OnceLock<usize>,
+    /// The scratch no live sampler holds, if any.
+    idle: Mutex<Option<SamplerScratch>>,
+    /// Memo bytes of the scratch last kept in `idle`, readable without the
+    /// lock (see [`FprasState::retained_memo_bytes`]).
+    idle_bytes: AtomicUsize,
 }
 
 impl FprasState {
@@ -122,6 +134,14 @@ impl FprasState {
         })
     }
 
+    /// Approximate bytes of the weight memo the state retains for its
+    /// witness samplers, as of the last sampler drop — zero until one is
+    /// dropped, and always zero when the weight memo is disabled. Not part
+    /// of [`FprasState::approx_bytes`], which measures the immutable sketch.
+    pub fn retained_memo_bytes(&self) -> usize {
+        self.idle_bytes.load(Ordering::Relaxed)
+    }
+
     /// The per-vertex sketch table, indexed by DAG node id (`None` = vertex
     /// pruned or never materialized). The snapshot codec serializes this;
     /// [`FprasState::from_parts`] is the load half.
@@ -148,7 +168,9 @@ impl FprasState {
             params,
             data,
             final_r,
-            bytes: std::sync::OnceLock::new(),
+            bytes: OnceLock::new(),
+            idle: Mutex::new(None),
+            idle_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -199,29 +221,66 @@ impl FprasState {
     /// A reusable witness sampler that keeps one `SamplerScratch` — and
     /// with it one weight memo cache — alive across draws. For workloads that
     /// draw many witnesses (the GEN query under load), this amortizes the
-    /// per-level union estimates down to hash lookups after the first few
+    /// per-level union estimates down to index hops after the first few
     /// walks; [`FprasState::sample_witness`] builds and drops the scratch
     /// every call.
+    ///
+    /// The scratch comes from the state's idle slot when no other live
+    /// sampler holds it (a fresh one otherwise), and goes back to the slot
+    /// when the sampler is dropped, so the memo outlives the request that
+    /// built it. Under the B9 ablation (`weight_cache = false`) the sampler
+    /// uses a fresh scratch and retains nothing.
     pub fn witness_sampler(&self) -> WitnessSampler<'_> {
         self.witness_sampler_with_cache(self.params.weight_cache)
     }
 
     fn witness_sampler_with_cache(&self, use_cache: bool) -> WitnessSampler<'_> {
-        let ctx = self.sample_ctx();
-        let scratch = SamplerScratch::for_ctx(&ctx);
-        // φ₀ = c / R(s_final) is invariant for this state's lifetime. An
-        // empty language has R = 0 and never walks, so any φ₀ serves.
-        let phi0 = if self.final_r.is_zero() {
+        WitnessSampler {
+            state: self,
+            scratch: self.take_scratch(use_cache),
+            phi0: self.phi0(),
+            use_cache,
+        }
+    }
+
+    /// φ₀ = c / R(s_final), invariant for this state's lifetime. An empty
+    /// language has R = 0 and never walks, so any φ₀ serves.
+    fn phi0(&self) -> BigFloat {
+        if self.final_r.is_zero() {
             BigFloat::zero()
         } else {
             BigFloat::from_f64(self.params.rejection_constant).div(self.final_r)
-        };
-        WitnessSampler {
-            state: self,
-            scratch,
-            phi0,
-            use_cache,
         }
+    }
+
+    /// A sampler's scratch: the idle one if `retained` and no live sampler
+    /// holds it, a fresh one otherwise.
+    fn take_scratch(&self, retained: bool) -> SamplerScratch {
+        let idle = if retained {
+            self.idle.lock().ok().and_then(|mut slot| slot.take())
+        } else {
+            None
+        };
+        idle.unwrap_or_else(|| SamplerScratch::for_ctx(&self.sample_ctx()))
+    }
+
+    /// Takes a dropped sampler's scratch back into the idle slot, keeping
+    /// whichever of it and the slot's current scratch has the larger memo.
+    /// Runs inside `Drop`, so it must not panic: a poisoned slot discards
+    /// the scratch.
+    fn return_scratch(&self, scratch: SamplerScratch) {
+        let Ok(mut slot) = self.idle.lock() else {
+            return;
+        };
+        if slot
+            .as_ref()
+            .is_some_and(|kept| kept.memo_bytes() >= scratch.memo_bytes())
+        {
+            return;
+        }
+        self.idle_bytes
+            .store(scratch.memo_bytes(), Ordering::Relaxed);
+        *slot = Some(scratch);
     }
 
     /// Ablation B2: the final estimate *without* the intersection correction —
@@ -242,6 +301,7 @@ impl FprasState {
 /// Amortized repeated witness sampling over a built [`FprasState`]: see
 /// [`FprasState::witness_sampler`]. Draws are distributed identically to
 /// [`FprasState::sample_witness`] (the cache changes no computed value).
+/// Dropping the sampler returns its scratch to the state.
 pub struct WitnessSampler<'a> {
     state: &'a FprasState,
     scratch: SamplerScratch,
@@ -269,6 +329,14 @@ impl WitnessSampler<'_> {
     }
 }
 
+impl Drop for WitnessSampler<'_> {
+    fn drop(&mut self) {
+        if self.use_cache {
+            self.state.return_scratch(std::mem::take(&mut self.scratch));
+        }
+    }
+}
+
 /// The owning counterpart of [`WitnessSampler`]: shares the sketch behind an
 /// [`Arc`] instead of a borrow, so a long-lived draw stream (the engine's
 /// `GenStream`) can hold sampler and state together without a
@@ -283,12 +351,12 @@ pub struct SharedWitnessSampler {
 
 impl SharedWitnessSampler {
     /// A sampler over a shared sketch, with the scratch (and weight memo
-    /// cache, per the state's params) kept alive across draws.
+    /// cache, per the state's params) kept alive across draws. Takes and
+    /// returns the state's idle scratch exactly as
+    /// [`FprasState::witness_sampler`] does.
     pub fn new(state: Arc<FprasState>) -> Self {
-        let (scratch, phi0) = {
-            let borrowed = state.witness_sampler();
-            (borrowed.scratch, borrowed.phi0)
-        };
+        let scratch = state.take_scratch(state.params.weight_cache);
+        let phi0 = state.phi0();
         SharedWitnessSampler {
             state,
             scratch,
@@ -315,6 +383,14 @@ impl SharedWitnessSampler {
             self.phi0,
             rng,
         )
+    }
+}
+
+impl Drop for SharedWitnessSampler {
+    fn drop(&mut self) {
+        if self.state.params.weight_cache {
+            self.state.return_scratch(std::mem::take(&mut self.scratch));
+        }
     }
 }
 
@@ -352,14 +428,13 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
     let n = dag.word_length();
     let mut data: Vec<Option<VertexData>> = vec![None; dag.num_nodes()];
     if dag.is_empty() {
-        return Ok(FprasState {
+        return Ok(FprasState::from_parts(
             nfa,
             dag,
             params,
             data,
-            final_r: BigFloat::zero(),
-            bytes: std::sync::OnceLock::new(),
-        });
+            BigFloat::zero(),
+        ));
     }
 
     // Step 4 — exactly handled vertices, in layer order. The start vertex has
@@ -476,14 +551,7 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
         let ctx = SampleCtx::new(&dag, &data, nfa_ref, &params);
         workers[0].estimate(&ctx, dag.accepting())
     };
-    Ok(FprasState {
-        nfa,
-        dag,
-        params,
-        data,
-        final_r,
-        bytes: std::sync::OnceLock::new(),
-    })
+    Ok(FprasState::from_parts(nfa, dag, params, data, final_r))
 }
 
 /// One vertex of step 5: estimate `R(v)` and draw the `k` samples of `X(v)`,

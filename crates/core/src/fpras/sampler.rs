@@ -12,18 +12,25 @@
 //!
 //! Algorithm 5 invokes this sampler `k × attempts` times per DAG vertex, and
 //! every invocation from the same vertex walks the same member sets through
-//! the same layers. Two structures exploit that:
+//! the same layers; a GEN workload walks from the same accepting set on
+//! every draw. Two structures exploit that:
 //!
 //! * [`WeightCache`] memoizes, per member set, the per-symbol predecessor
-//!   partitions and the selection probabilities `p_b = W̃_b / ΣW̃` — after the
-//!   first walk touches a member set, subsequent walks through it reduce to a
-//!   hash lookup plus one RNG draw. The cache is *per worker* (one per scoped
-//!   thread chunk in `algorithm.rs`), never shared, so the determinism
-//!   guarantee — same master seed ⇒ bit-identical output at any thread
-//!   count — is preserved: cached values are pure functions of earlier-layer
-//!   sketches, which are frozen before any walk can read them.
-//! * [`SamplerScratch`] owns every buffer the walk needs (member-set
-//!   double-buffer, per-symbol grouping buckets, weight/probability vectors,
+//!   partitions and the selection probabilities `p_b = W̃_b / ΣW̃`. Entries
+//!   live in a `Vec` addressed by `u32`, and each entry records, per
+//!   partition, the index of the entry that partition leads to, filled in
+//!   the first time a walk follows it. A warm walk therefore hashes its
+//!   member set once, at the root, and then follows indices: one index hop
+//!   plus one RNG draw per level, with no member-set copy. Cached values are
+//!   pure functions of earlier-layer sketches, which are frozen before any
+//!   walk can read them, so the memo changes no value and no RNG use. During
+//!   the sketch build the cache is *per worker* (one per scoped thread chunk
+//!   in `algorithm.rs`), never shared, so the determinism guarantee — same
+//!   master seed ⇒ bit-identical output at any thread count — is preserved.
+//!   For GEN, a built `FprasState` keeps one idle scratch, memo included,
+//!   that each new witness sampler takes and returns on drop.
+//! * [`SamplerScratch`] owns every buffer the walk needs (current member
+//!   set, per-symbol grouping buckets, weight/probability vectors,
 //!   the estimator's prefix mask), so the steady-state walk allocates only
 //!   the returned word.
 
@@ -116,24 +123,35 @@ impl SampleCtx<'_> {
 }
 
 /// One memoized walk level: the per-symbol predecessor partitions `T_b` of a
-/// member set, with their selection probabilities.
+/// member set, with their selection probabilities and the cache indices of
+/// the levels they lead to.
 struct CacheEntry {
     /// `(symbol, T_b)` in ascending symbol order, each sorted and deduped.
     partitions: Vec<(Symbol, Vec<NodeId>)>,
     /// `p_b = W̃_b / ΣW̃`, aligned with `partitions`.
     probs: Vec<f64>,
+    /// Index of the entry for each `T_b`, aligned with `partitions`;
+    /// [`WeightCache::UNLINKED`] until a walk first follows `T_b` to a
+    /// cached level.
+    children: Vec<u32>,
     /// `ΣW̃ = 0`: the walk dies here (cached too — it is just as deterministic).
     dead: bool,
 }
 
-/// Memo of [`CacheEntry`]s keyed by member set (sorted vertex ids; layer is
-/// implied since vertex ids are globally unique). Sound for as long as the
-/// sketches the entries read stay frozen — i.e. for a whole Algorithm 5 run,
-/// because entries for a member set at layer `ℓ` read only layer `ℓ-1`
-/// sketches, which are complete before any walk can reach them.
+/// Memo of [`CacheEntry`]s, stored in a `Vec` and addressed by `u32` index.
+/// The member-set map (sorted vertex ids; layer is implied since vertex ids
+/// are globally unique) is consulted only when a walk does not yet know the
+/// index of its current level — on a warm walk, only at the root. Sound for
+/// as long as the sketches the entries read stay frozen: entries for a
+/// member set at layer `ℓ` read only layer `ℓ-1` sketches, which are
+/// complete before any walk can reach them, and a finished [`FprasState`]'s
+/// sketches never change again.
+///
+/// [`FprasState`]: super::FprasState
 #[derive(Default)]
 pub(crate) struct WeightCache {
-    map: HashMap<Vec<NodeId>, CacheEntry>,
+    entries: Vec<CacheEntry>,
+    index: HashMap<Vec<NodeId>, u32>,
     /// Approximate resident bytes of stored keys and entries, maintained so
     /// the cap bounds memory rather than entry count (entries vary from a
     /// few dozen bytes to KBs on wide member sets).
@@ -145,8 +163,48 @@ impl WeightCache {
     /// sampler (a GEN workload drawing millions of witnesses) cannot grow
     /// memory without bound on automata whose walks keep visiting fresh
     /// member sets. Uncached levels are recomputed — values are identical
-    /// either way, so the cap cannot perturb determinism.
+    /// either way, so the cap cannot perturb determinism. At ≥ 96 bytes per
+    /// entry the cap also keeps every index below [`WeightCache::UNLINKED`].
     const MAX_BYTES: usize = 256 << 20;
+
+    /// The child index of a partition no walk has followed yet.
+    const UNLINKED: u32 = u32::MAX;
+
+    /// Stores the level just computed in scratch for `members` and returns
+    /// its index. Dead levels store empty vectors: `probs` still holds the
+    /// previous level's values when `level_probs` bails early.
+    fn insert(
+        &mut self,
+        members: &[NodeId],
+        live: bool,
+        buckets: &[Vec<NodeId>],
+        touched: &[Symbol],
+        probs: &[f64],
+    ) -> u32 {
+        let entry = if live {
+            CacheEntry {
+                partitions: touched
+                    .iter()
+                    .map(|&a| (a, buckets[a as usize].clone()))
+                    .collect(),
+                probs: probs.to_vec(),
+                children: vec![Self::UNLINKED; touched.len()],
+                dead: false,
+            }
+        } else {
+            CacheEntry {
+                partitions: Vec::new(),
+                probs: Vec::new(),
+                children: Vec::new(),
+                dead: true,
+            }
+        };
+        self.approx_bytes += Self::entry_bytes(members, &entry);
+        let i = self.entries.len() as u32;
+        self.entries.push(entry);
+        self.index.insert(members.to_vec(), i);
+        i
+    }
 
     /// Rough resident size of one key/entry pair (vector contents plus a
     /// fixed allowance for the map slot and vector headers).
@@ -159,15 +217,19 @@ impl WeightCache {
         96 + std::mem::size_of_val(key)
             + partition_bytes
             + entry.probs.len() * std::mem::size_of::<f64>()
+            + entry.children.len() * std::mem::size_of::<u32>()
     }
 }
 
 /// Reusable buffers for the backward walk: one per worker, threaded through
 /// every `sample_*` call so the steady-state walk performs no allocation.
+/// The default value is an empty placeholder (no mask, no buckets) that a
+/// walk must never run on.
+#[derive(Default)]
 pub(crate) struct SamplerScratch {
-    /// Current member set `T` (double-buffered with `next_members`).
+    /// Current member set `T`. Each level groups its predecessors into
+    /// `buckets` (or reads them from the memo) before overwriting it.
     members: Vec<NodeId>,
-    next_members: Vec<NodeId>,
     /// Prefix-mask arena for the linear union estimator (nonzero-word index
     /// included, so the packed kernel scans only live words).
     arena: MaskArena,
@@ -186,7 +248,6 @@ impl SamplerScratch {
     pub(crate) fn new(num_states: usize, alphabet_size: usize) -> Self {
         SamplerScratch {
             members: Vec::new(),
-            next_members: Vec::new(),
             arena: MaskArena::new(num_states),
             buckets: vec![Vec::new(); alphabet_size],
             touched: Vec::new(),
@@ -205,6 +266,11 @@ impl SamplerScratch {
     /// `W̃` over `members` using this scratch's mask arena.
     pub(crate) fn estimate(&mut self, ctx: &SampleCtx<'_>, members: &[NodeId]) -> BigFloat {
         ctx.estimate(members, &mut self.arena)
+    }
+
+    /// Approximate resident bytes of this scratch's weight memo.
+    pub(crate) fn memo_bytes(&self) -> usize {
+        self.cache.approx_bytes
     }
 }
 
@@ -327,7 +393,6 @@ fn sample_inner<R: Rng + ?Sized>(
 ) -> Option<Word> {
     let SamplerScratch {
         members,
-        next_members,
         arena,
         buckets,
         touched,
@@ -337,6 +402,13 @@ fn sample_inner<R: Rng + ?Sized>(
     } = scratch;
     members.clear();
     members.extend_from_slice(t0);
+    // The cache index of the current level, when the hop that led here knew
+    // it. `members` is materialized only while this is `None`: an indexed
+    // hop leaves it stale.
+    let mut at: Option<u32> = None;
+    // The `(entry, partition)` hop that materialized `members`, whose child
+    // index is filled in once this level's entry is known.
+    let mut link: Option<(u32, usize)> = None;
     let mut layer = layer0;
     let mut phi = phi0;
     let mut rev: Word = Vec::with_capacity(layer0);
@@ -350,7 +422,14 @@ fn sample_inner<R: Rng + ?Sized>(
         }
         // Step 2: at the start vertex, accept the built word with probability φ.
         if layer == 0 {
-            debug_assert_eq!(members.len(), 1, "layer 0 holds only the start vertex");
+            // No entry is ever stored for layer 0, so no child index points
+            // here and the last hop always materialized `members`.
+            debug_assert!(at.is_none(), "layer 0 is never reached by index");
+            debug_assert_eq!(
+                members.as_slice(),
+                ctx.dag.start().as_slice(),
+                "layer 0 holds only the start vertex"
+            );
             if !rejection || rng.gen::<f64>() < phi.to_f64() {
                 rev.reverse();
                 return Some(rev);
@@ -359,65 +438,58 @@ fn sample_inner<R: Rng + ?Sized>(
         }
         // Step 3: partition predecessors by symbol and weigh each by W̃_b —
         // memoized per member set, or recomputed per level under the B9
-        // ablation. Both paths produce bit-identical partitions and
-        // probabilities and consume the RNG identically (one draw per live
-        // level, none on dead levels).
-        let (symbol, p) = 'level: {
-            if ctx.weight_cache {
-                if let Some(entry) = cache.map.get(members.as_slice()) {
-                    if entry.dead {
-                        return None;
-                    }
-                    let chosen = choose_partition(&entry.probs, rng)?;
-                    let (a, part) = &entry.partitions[chosen];
-                    next_members.clear();
-                    next_members.extend_from_slice(part);
-                    break 'level (*a, entry.probs[chosen]);
+        // ablation (and past the memo's byte cap). Both paths produce
+        // bit-identical partitions and probabilities and consume the RNG
+        // identically (one draw per live level, none on dead levels).
+        let mut here = at.take();
+        if ctx.weight_cache && here.is_none() {
+            here = cache.index.get(members.as_slice()).copied();
+            if here.is_none() && cache.approx_bytes < WeightCache::MAX_BYTES {
+                group_predecessors(ctx, members, buckets, touched);
+                let live = level_probs(ctx, buckets, touched, arena, weights, probs);
+                here = Some(cache.insert(members, live, buckets, touched, probs));
+            }
+            if let (Some(i), Some((parent, b))) = (here, link) {
+                cache.entries[parent as usize].children[b] = i;
+            }
+        }
+        link = None;
+        let (symbol, p) = match here {
+            Some(i) => {
+                let entry = &cache.entries[i as usize];
+                if entry.dead {
+                    return None;
                 }
-            }
-            // Miss (or cache disabled): compute the level in scratch.
-            group_predecessors(ctx, members, buckets, touched);
-            let live = level_probs(ctx, buckets, touched, arena, weights, probs);
-            if ctx.weight_cache && cache.approx_bytes < WeightCache::MAX_BYTES {
-                // Dead levels store empty partition/prob vectors: `probs`
-                // still holds the previous level's values when `level_probs`
-                // bails early, and a dead entry must not carry them. At the
-                // cap, skip the entry construction entirely — the clones
-                // would only be dropped.
-                let entry = if live {
-                    CacheEntry {
-                        partitions: touched
-                            .iter()
-                            .map(|&a| (a, buckets[a as usize].clone()))
-                            .collect(),
-                        probs: probs.clone(),
-                        dead: false,
+                let chosen = choose_partition(&entry.probs, rng)?;
+                let (a, part) = &entry.partitions[chosen];
+                match entry.children[chosen] {
+                    WeightCache::UNLINKED => {
+                        members.clear();
+                        members.extend_from_slice(part);
+                        link = Some((i, chosen));
                     }
-                } else {
-                    CacheEntry {
-                        partitions: Vec::new(),
-                        probs: Vec::new(),
-                        dead: true,
-                    }
-                };
-                cache.approx_bytes += WeightCache::entry_bytes(members, &entry);
-                cache.map.insert(members.clone(), entry);
+                    child => at = Some(child),
+                }
+                (*a, entry.probs[chosen])
             }
-            if !live {
-                return None;
+            None => {
+                // Uncached: compute the level in scratch.
+                group_predecessors(ctx, members, buckets, touched);
+                if !level_probs(ctx, buckets, touched, arena, weights, probs) {
+                    return None;
+                }
+                let chosen = choose_partition(probs, rng)?;
+                let a = touched[chosen];
+                members.clear();
+                members.extend_from_slice(&buckets[a as usize]);
+                (a, probs[chosen])
             }
-            let chosen = choose_partition(probs, rng)?;
-            let a = touched[chosen];
-            next_members.clear();
-            next_members.extend_from_slice(&buckets[a as usize]);
-            (a, probs[chosen])
         };
         // Choose partition b with probability p_b = W̃_b / ΣW̃. The f64
         // probabilities used for selection are also the ones divided into φ,
         // keeping the acceptance probability algebraically exact.
         phi = phi.mul_f64(1.0 / p);
         rev.push(symbol);
-        std::mem::swap(members, next_members);
         layer -= 1;
     }
 }

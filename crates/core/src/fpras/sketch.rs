@@ -53,7 +53,7 @@ impl VertexData {
 /// words instead of the whole bit vector. One arena lives in each worker's
 /// `SamplerScratch`, so the k×attempts sampler walks allocate no mask memory
 /// at all.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MaskArena {
     words: Vec<u64>,
     /// Indices of nonzero `words`, in first-touched order (deduplicated).

@@ -1,7 +1,8 @@
 //! Equivalence tests for the FPRAS hot-path optimizations and the
 //! prepared-instance engine.
 //!
-//! The linear prefix-mask union estimator, the per-worker weight memo cache,
+//! The linear prefix-mask union estimator, the weight memo cache (per worker
+//! during the sketch build, retained per sketch across witness samplers),
 //! and the CSR DAG layout are all *value-preserving* rewrites of the seed
 //! implementation: for a fixed master seed they must produce **bit-identical**
 //! estimates and witness streams to the naive path (quadratic membership
@@ -14,15 +15,16 @@
 use lsc_arith::BigFloat;
 use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa, universal_nfa};
 use lsc_automata::regex::Regex;
-use lsc_automata::{Alphabet, Nfa};
+use lsc_automata::{Alphabet, Nfa, Word};
 use lsc_core::engine::{
     Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, RouterConfig,
 };
-use lsc_core::fpras::{run_fpras, FprasParams};
+use lsc_core::fpras::{run_fpras, FprasParams, FprasState, SharedWitnessSampler};
 use lsc_core::MemNfa;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
+use std::sync::{Arc, Barrier};
 
 /// The NFA families the equivalence contract is checked on: ambiguous,
 /// unambiguous-after-blowup, universal, and an overlap-heavy regex language.
@@ -120,6 +122,151 @@ fn witness_sampler_matches_per_call_sampling() {
             let a = sampler.sample(&mut rng_a);
             let b = state.sample_witness(&mut rng_b);
             assert_eq!(a, b, "{name}: draw {i} diverged");
+        }
+    }
+}
+
+/// Per-call `sample_witness` draws under `seed`: the uncached reference
+/// every retained-memo stream must reproduce.
+fn per_call_draws(state: &FprasState, seed: u64, draws: usize) -> Vec<Option<Word>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws).map(|_| state.sample_witness(&mut rng)).collect()
+}
+
+fn shared_draws(sampler: &mut SharedWitnessSampler, seed: u64, draws: usize) -> Vec<Option<Word>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..draws).map(|_| sampler.sample(&mut rng)).collect()
+}
+
+/// The sketch built for every retained-memo test below.
+fn memo_state(nfa: &Nfa, n: usize) -> Arc<FprasState> {
+    let mut quick = FprasParams::quick();
+    quick.k = 16;
+    let mut rng = StdRng::seed_from_u64(17);
+    Arc::new(run_fpras(nfa, n, quick, &mut rng).unwrap())
+}
+
+/// Samplers created and dropped in turn over one sketch hand the weight memo
+/// on, each starting where the last left off: every stream still equals
+/// per-call sampling under its own seed.
+#[test]
+fn retained_memo_streams_match_per_call_sampling() {
+    for (name, nfa, n) in families() {
+        let state = memo_state(&nfa, n);
+        assert_eq!(
+            state.retained_memo_bytes(),
+            0,
+            "{name}: nothing retained yet"
+        );
+        for seed in [3u64, 4, 5, 6] {
+            let mut sampler = SharedWitnessSampler::new(state.clone());
+            let drawn = shared_draws(&mut sampler, seed, 40);
+            drop(sampler);
+            assert_eq!(
+                drawn,
+                per_call_draws(&state, seed, 40),
+                "{name}/seed {seed}"
+            );
+            assert!(state.retained_memo_bytes() > 0, "{name}: memo retained");
+        }
+    }
+}
+
+/// Two samplers alive at once: one holds the retained scratch, the other
+/// starts fresh; interleaved, both reproduce per-call sampling.
+#[test]
+fn overlapping_samplers_match_per_call_sampling() {
+    for (name, nfa, n) in families() {
+        let state = memo_state(&nfa, n);
+        // Warm the retained memo first so one of the pair starts warm.
+        drop(shared_draws(
+            &mut SharedWitnessSampler::new(state.clone()),
+            1,
+            20,
+        ));
+        let mut a = SharedWitnessSampler::new(state.clone());
+        let mut b = SharedWitnessSampler::new(state.clone());
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(9));
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        for _ in 0..40 {
+            got_a.push(a.sample(&mut rng_a));
+            got_b.push(b.sample(&mut rng_b));
+        }
+        assert_eq!(
+            got_a,
+            per_call_draws(&state, 8, 40),
+            "{name}: first sampler"
+        );
+        assert_eq!(
+            got_b,
+            per_call_draws(&state, 9, 40),
+            "{name}: second sampler"
+        );
+    }
+}
+
+/// Two threads draw concurrently from one shared sketch, started together:
+/// whichever takes the retained scratch, both streams are per-call streams.
+#[test]
+fn concurrent_threads_match_per_call_sampling() {
+    for (name, nfa, n) in families() {
+        let state = memo_state(&nfa, n);
+        drop(shared_draws(
+            &mut SharedWitnessSampler::new(state.clone()),
+            1,
+            20,
+        ));
+        let barrier = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = [11u64, 12]
+            .into_iter()
+            .map(|seed| {
+                let (state, barrier) = (state.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    let mut sampler = SharedWitnessSampler::new(state);
+                    (seed, shared_draws(&mut sampler, seed, 40))
+                })
+            })
+            .collect();
+        for worker in workers {
+            let (seed, drawn) = worker.join().unwrap();
+            assert_eq!(
+                drawn,
+                per_call_draws(&state, seed, 40),
+                "{name}/seed {seed}"
+            );
+        }
+    }
+}
+
+/// The sketch build with and without the weight memo: equal estimates and
+/// equal sample tables, vertex for vertex, at one and two threads.
+#[test]
+fn sketch_builds_with_and_without_weight_memo_agree() {
+    for (name, nfa, n) in families() {
+        let mut quick = FprasParams::quick();
+        quick.k = 16;
+        for threads in [1usize, 2] {
+            let build = |params: FprasParams| {
+                let mut rng = StdRng::seed_from_u64(0x5EED);
+                run_fpras(&nfa, n, params.with_threads(threads), &mut rng).unwrap()
+            };
+            let memo = build(quick);
+            let plain = build(quick.without_weight_cache());
+            assert!(
+                bit_identical(&memo.estimate(), &plain.estimate()),
+                "{name}/threads={threads}: estimates differ"
+            );
+            let words = |s: &FprasState| -> Vec<Option<Vec<Word>>> {
+                s.vertex_data()
+                    .iter()
+                    .map(|d| {
+                        d.as_ref()
+                            .map(|d| d.samples.iter().map(|e| e.word.clone()).collect())
+                    })
+                    .collect()
+            };
+            assert_eq!(words(&memo), words(&plain), "{name}/threads={threads}");
         }
     }
 }

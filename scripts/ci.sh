@@ -3,8 +3,8 @@
 # rustdoc gate must be clean, the quickstart + serve_client examples must
 # run, and the engine + cursor + serve benches must at least execute (smoke
 # invocations with a tiny sample budget — trajectory numbers come from
-# scripts/bench.sh), and the perfbench harness must pass its own tests and a
-# short checked run of the routed workload.
+# scripts/bench.sh), and the perfbench harness must pass its own tests and
+# short checked runs of the warm, bulk and routed workloads.
 #
 # Usage: scripts/ci.sh
 
@@ -113,6 +113,14 @@ cargo bench -p lsc-bench --bench serve -- e17-warm-restart
 
 echo "== perfbench: harness tests =="
 cargo test --release --manifest-path perfbench/Cargo.toml
+
+# Each run checks every reply against a fresh reference engine, draw streams
+# included; a wrong answer exits non-zero.
+echo "== perfbench: 2 s checked warm-wire smoke =="
+python3 perfbench/run.py --workload warm-wire --seed 1 --seconds 2 --trace 0
+
+echo "== perfbench: 2 s checked bulk-stream smoke =="
+python3 perfbench/run.py --workload bulk-stream --seed 1 --seconds 2 --trace 0
 
 echo "== perfbench: 2 s checked routed-wire smoke =="
 python3 perfbench/run.py --workload routed-wire --seed 1 --seconds 2 --trace 0
