@@ -5,14 +5,13 @@
 //!   FPRAS on small instances.
 //! * [`naive`] — the unbiased but exponential-variance Monte-Carlo estimator
 //!   the paper rules out in §6.1 (baseline for experiment E8).
-//! * [`router`] — the ambiguity-aware front door: exact where exactness is
-//!   affordable (unambiguous, or small subset construction), FPRAS otherwise.
 //! * [`stratified`] — MEM-UFA counts and exact uniform samples refined by
 //!   occurrences of a marked symbol (the §4.2 path-histogram refinement).
 //!
-//! The FPRAS itself (Theorem 22) lives in [`crate::fpras`].
+//! The FPRAS itself (Theorem 22) lives in [`crate::fpras`]; the
+//! ambiguity-aware router that picks exact or FPRAS counting per instance
+//! lives in [`crate::engine`].
 
 pub mod exact;
 pub mod naive;
-pub mod router;
 pub mod stratified;

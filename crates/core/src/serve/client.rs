@@ -53,7 +53,7 @@ use std::time::Duration;
 
 use crate::serve::faults::splitmix64;
 use crate::serve::json::{self, Json};
-use crate::serve::protocol::{InstanceSpec, PROTOCOL_VERSION};
+use crate::serve::protocol::{ErrorCode, InstanceSpec, PROTOCOL_VERSION};
 
 /// Client tuning knobs.
 #[derive(Clone, Debug)]
@@ -552,9 +552,9 @@ impl Client {
                 code,
                 message,
                 retry_after_ms,
-            } => match code.as_str() {
+            } => match ErrorCode::parse(&code) {
                 // Not executed: honor the server's hint and replay.
-                "overloaded" => {
+                Some(ErrorCode::Overloaded) => {
                     let hint = retry_after_ms
                         .map(Duration::from_millis)
                         .unwrap_or_else(|| {
@@ -567,27 +567,27 @@ impl Client {
                         });
                     self.stats.hints_honored += 1;
                     std::thread::sleep(hint.min(self.config.backoff_cap));
-                    Ok(format!("overloaded: {message}"))
+                    Ok(format!("{code}: {message}"))
                 }
                 // Expired unexecuted in the queue: replay.
-                "deadline-exceeded" => {
+                Some(ErrorCode::DeadlineExceeded) => {
                     self.sleep_backoff(attempt);
-                    Ok(format!("deadline-exceeded: {message}"))
+                    Ok(format!("{code}: {message}"))
                 }
                 // The worker died mid-request and the server is closing
                 // the connection: reconnect and replay.
-                "internal" => {
+                Some(ErrorCode::Internal) => {
                     self.drop_conn();
                     self.sleep_backoff(attempt);
-                    Ok(format!("internal: {message}"))
+                    Ok(format!("{code}: {message}"))
                 }
                 // Idled out (or the server restarted behind a proxy):
                 // forget the binding; the next attempt re-prepares.
-                "unknown-session" => {
+                Some(ErrorCode::UnknownSession) => {
                     if let Some(entry) = self.sessions.get_mut(alias) {
                         entry.session = None;
                     }
-                    Ok(format!("unknown-session: {message}"))
+                    Ok(format!("{code}: {message}"))
                 }
                 _ => Err(ClientError::Server { code, message }),
             },
@@ -600,7 +600,7 @@ impl Client {
         let line = match self.sessions.get(alias) {
             None => {
                 return Err(Step::Wire {
-                    code: "bad-request".to_string(),
+                    code: ErrorCode::BadRequest.as_str().to_string(),
                     message: format!("no prepared session {alias:?}"),
                     retry_after_ms: None,
                 })
@@ -698,7 +698,7 @@ impl Client {
             code: value
                 .get("code")
                 .and_then(Json::as_str)
-                .unwrap_or("internal")
+                .unwrap_or(ErrorCode::Internal.as_str())
                 .to_string(),
             message: value
                 .get("error")

@@ -60,8 +60,9 @@ use std::time::{Duration, Instant};
 
 use lsc_reactor::{Event, Interest, Poller, Token, Waker};
 
+use crate::serve::conn::{Reply, TcpServerHandle};
 use crate::serve::faults::{FaultPlan, FaultSite, FaultyStream};
-use crate::serve::server::{Reply, ServerInner, TcpServerHandle};
+use crate::serve::server::ServerInner;
 
 /// Registration token of the accept listener.
 const LISTENER: usize = 0;

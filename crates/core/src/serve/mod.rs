@@ -41,6 +41,14 @@
 //! ([`Server::serve_stdio`]); [`Server::handle_line`] is the
 //! transport-free core.
 //!
+//! The blocking transports share one connection layer (`conn.rs`): a
+//! line loop (read a line, skip blanks, answer it, write and flush the
+//! [`Reply`], stop at EOF or after `bye`, report whether an I/O error
+//! ended it) and a thread-per-connection acceptor (socket timeouts,
+//! nodelay, both halves wrapped in a [`FaultyStream`] at the caller's
+//! fault sites). The threaded TCP transport and stdio run the loop over
+//! the pool; the [`Router`] front runs the same acceptor and loop.
+//!
 //! ```
 //! use lsc_core::serve::{Server, ServeConfig};
 //!
@@ -55,6 +63,7 @@
 //! ```
 
 pub mod client;
+mod conn;
 mod event_loop;
 pub mod faults;
 pub mod json;
@@ -65,9 +74,10 @@ mod server;
 mod session;
 
 pub use client::{Client, ClientConfig, ClientError, ClientStats};
+pub use conn::{Reply, TcpServerHandle};
 pub use faults::{Fault, FaultConfig, FaultPlan, FaultSite, FaultStats, FaultyStream};
 pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use protocol::{ErrorCode, WireError, PROTOCOL_VERSION};
 pub use router::{BackendSpec, RouteConfig, RouteStats, Router};
-pub use server::{Reply, ServeConfig, ServeStats, Server, TcpServerHandle, Transport};
+pub use server::{ServeConfig, ServeStats, Server, Transport};
 pub use session::SessionRegistry;

@@ -20,12 +20,17 @@
 //!
 //! The full normative reference — every field, an example session
 //! transcript, and the resume-token grammar — lives in
-//! `docs/ARCHITECTURE.md` §4. This module only defines the message types
-//! and their (de)serialization; execution lives in
+//! `docs/ARCHITECTURE.md` §4. This module defines the message types,
+//! their (de)serialization, and how a `prepare` spec compiles (one
+//! compiler for the servers and the router); execution lives in
 //! [`super::server::Server`].
 //!
 //! [`Engine`]: crate::engine::Engine
 
+use lsc_automata::regex::Regex;
+use lsc_automata::{io as nfa_io, Alphabet, Nfa};
+
+use crate::serve::conn::Reply;
 use crate::serve::json::{self, Json};
 
 /// The protocol version this server speaks. Requests may carry `"proto"`;
@@ -61,6 +66,25 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    const ALL: [ErrorCode; 8] = [
+        ErrorCode::BadRequest,
+        ErrorCode::UnknownSession,
+        ErrorCode::NotUnambiguous,
+        ErrorCode::InvalidToken,
+        ErrorCode::Fpras,
+        ErrorCode::Overloaded,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::Internal,
+    ];
+
+    /// The code whose wire name is `text` ([`ErrorCode::as_str`]
+    /// inverted); `None` for a name this version does not know.
+    pub fn parse(text: &str) -> Option<ErrorCode> {
+        ErrorCode::ALL
+            .into_iter()
+            .find(|code| code.as_str() == text)
+    }
+
     /// The wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -116,6 +140,41 @@ pub enum InstanceSpec {
     },
     /// A full automaton in the `lsc_automata::io` text format.
     NfaText(String),
+}
+
+impl InstanceSpec {
+    /// Compiles the spec into its automaton and the alphabet its words
+    /// print in; a regex without an alphabet uses `default_alphabet`.
+    /// Every node that fingerprints a spec — a server's `prepare`, the
+    /// router's placement — compiles it here, so their fingerprints agree
+    /// whenever their default alphabets do.
+    ///
+    /// # Errors
+    /// [`ErrorCode::BadRequest`] on an empty alphabet or a spec that does
+    /// not parse.
+    pub(crate) fn compile(&self, default_alphabet: &str) -> Result<(Nfa, Alphabet), WireError> {
+        match self {
+            InstanceSpec::Regex { pattern, alphabet } => {
+                let chars: Vec<char> = alphabet
+                    .as_deref()
+                    .unwrap_or(default_alphabet)
+                    .chars()
+                    .collect();
+                if chars.is_empty() {
+                    return Err(WireError::bad("empty alphabet"));
+                }
+                let alphabet = Alphabet::from_chars(&chars);
+                let regex =
+                    Regex::parse(pattern, &alphabet).map_err(|e| WireError::bad(e.to_string()))?;
+                Ok((regex.compile(), alphabet))
+            }
+            InstanceSpec::NfaText(text) => {
+                let nfa = nfa_io::from_text(text).map_err(|e| WireError::bad(e.to_string()))?;
+                let alphabet = nfa.alphabet().clone();
+                Ok((nfa, alphabet))
+            }
+        }
+    }
 }
 
 /// One parsed request: the op and its arguments.
@@ -297,6 +356,30 @@ pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
     Ok(Envelope { id, request })
 }
 
+/// Answers one request line: parses it, runs `dispatch` on the request,
+/// and encodes the outcome with the request's `"id"`. A `bye` closes the
+/// connection; a line that does not parse is answered without one.
+pub(crate) fn respond(
+    line: &str,
+    dispatch: impl FnOnce(Request) -> Result<Vec<(String, Json)>, WireError>,
+) -> Reply {
+    let Envelope { id, request } = match parse_request(line) {
+        Ok(envelope) => envelope,
+        Err(error) => {
+            return Reply {
+                text: error_response(None, &error),
+                close: false,
+            }
+        }
+    };
+    let close = matches!(request, Request::Bye);
+    let text = match dispatch(request) {
+        Ok(fields) => ok_response(id.as_ref(), fields),
+        Err(error) => error_response(id.as_ref(), &error),
+    };
+    Reply { text, close }
+}
+
 /// Builds an `"ok": true` response line from ordered fields.
 pub fn ok_response(id: Option<&Json>, fields: Vec<(String, Json)>) -> String {
     let mut members = Vec::with_capacity(fields.len() + 2);
@@ -388,6 +471,25 @@ mod tests {
         for (line, expected) in cases {
             assert_eq!(parse_request(line).unwrap().request, expected, "{line}");
         }
+    }
+
+    #[test]
+    fn error_codes_round_trip_through_their_wire_names() {
+        use ErrorCode::*;
+        let every = [
+            BadRequest,
+            UnknownSession,
+            NotUnambiguous,
+            InvalidToken,
+            Fpras,
+            Overloaded,
+            DeadlineExceeded,
+            Internal,
+        ];
+        for code in every {
+            assert_eq!(ErrorCode::parse(code.as_str()), Some(code), "{code:?}");
+        }
+        assert_eq!(ErrorCode::parse("no-such-code"), None);
     }
 
     #[test]

@@ -43,24 +43,17 @@
 //! [`ShardedEngine`]: crate::engine::ShardedEngine
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lsc_automata::regex::Regex;
-use lsc_automata::{io as nfa_io, Alphabet};
-
 use crate::engine::{PreparedInstance, ShardMap, SnapshotStore};
 use crate::serve::client::{Client, ClientConfig, ClientError};
-use crate::serve::faults::{FaultPlan, FaultSite, FaultyStream};
+use crate::serve::conn::{serve_lines, spawn_acceptor, TcpServerHandle};
+use crate::serve::faults::{FaultPlan, FaultSite};
 use crate::serve::json::Json;
-use crate::serve::protocol::{
-    error_response, ok_response, parse_request, ErrorCode, InstanceSpec, Request, WireError,
-};
-use crate::serve::server::TcpServerHandle;
+use crate::serve::protocol::{respond, ErrorCode, InstanceSpec, Request, WireError};
 
 /// One backend node: where it listens and, if it persists snapshots,
 /// where — the directory the router ships replication artifacts into
@@ -266,35 +259,33 @@ impl Router {
 
     /// Serves the wire protocol on `addr`, thread-per-connection (the
     /// router's work per request is one forwarded RPC, so a blocking
-    /// thread per front connection is the right shape). Returns a handle
-    /// whose `shutdown` stops the accept loop.
+    /// thread per front connection is the right shape): the shared
+    /// acceptor and line loop, with front-connection I/O at
+    /// [`FaultSite::RouterForward`]. Sessions a connection created are
+    /// dropped when it ends. Returns a handle whose `shutdown` stops the
+    /// accept loop.
     ///
     /// # Errors
     /// Propagates `bind` failures.
     pub fn spawn_tcp(&self, addr: &str) -> std::io::Result<TcpServerHandle> {
-        // lsc-analyze: allow(unrouted-io) reason="one-time listener setup; per-connection streams below wrap in FaultyStream at the RouterForward site"
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let config = &self.inner.config;
         let inner = self.inner.clone();
-        let stop_flag = stop.clone();
-        let accept = std::thread::Builder::new()
-            .name("lsc-route-accept".to_string())
-            .spawn(move || {
-                // lsc-analyze: allow(unrouted-io) reason="accept loop hands every stream to serve_connection, which wraps it in FaultyStream at the RouterForward site"
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let inner = inner.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("lsc-route-conn".to_string())
-                        .spawn(move || serve_connection(&inner, stream));
+        spawn_acceptor(
+            addr,
+            "lsc-route",
+            (config.read_timeout, config.write_timeout),
+            config.faults.clone(),
+            (FaultSite::RouterForward, FaultSite::RouterForward),
+            move |reader, writer| {
+                let mut local: Vec<String> = Vec::new();
+                serve_lines(reader, writer, |line| {
+                    respond(line, |request| inner.dispatch(&mut local, request))
+                });
+                for alias in local {
+                    inner.drop_route(&alias);
                 }
-            })
-            .expect("spawn route accept thread");
-        Ok(TcpServerHandle::threaded(local, stop, accept))
+            },
+        )
     }
 }
 
@@ -310,66 +301,10 @@ fn backend_for(spec: &BackendSpec, client: &ClientConfig) -> std::io::Result<Arc
     }))
 }
 
-/// One front connection: parse each line, dispatch, write one response
-/// line — `serve_connection` for the router. Sessions created here are
-/// dropped when the connection ends.
-fn serve_connection(inner: &Arc<RouterInner>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(inner.config.read_timeout);
-    let _ = stream.set_write_timeout(inner.config.write_timeout);
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let plan = inner.config.faults.clone();
-    let reader = BufReader::new(FaultyStream::with_sites(
-        read_half,
-        plan.clone(),
-        FaultSite::RouterForward,
-        FaultSite::RouterForward,
-    ));
-    let mut writer = BufWriter::new(FaultyStream::with_sites(
-        stream,
-        plan,
-        FaultSite::RouterForward,
-        FaultSite::RouterForward,
-    ));
-    let mut local: Vec<String> = Vec::new();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (text, close) = inner.handle_line(&mut local, &line);
-        if writeln!(writer, "{text}").is_err() || writer.flush().is_err() {
-            break;
-        }
-        if close {
-            break;
-        }
-    }
-    for alias in local {
-        inner.drop_route(&alias);
-    }
-}
-
 impl RouterInner {
-    /// Transport-free dispatch: one request line in, one response line
-    /// out plus the close-after flag. `local` accumulates the aliases
-    /// this connection created (front sessions are connection-scoped,
-    /// like the server's).
-    fn handle_line(&self, local: &mut Vec<String>, line: &str) -> (String, bool) {
-        let (id, request) = match parse_request(line) {
-            Ok(envelope) => (envelope.id, envelope.request),
-            Err(error) => return (error_response(None, &error), false),
-        };
-        let close = matches!(request, Request::Bye);
-        let text = match self.dispatch(local, request) {
-            Ok(fields) => ok_response(id.as_ref(), fields),
-            Err(error) => error_response(id.as_ref(), &error),
-        };
-        (text, close)
-    }
-
+    /// Transport-free dispatch of one request. `local` accumulates the
+    /// aliases this connection created (front sessions are
+    /// connection-scoped, like the server's).
     fn dispatch(
         &self,
         local: &mut Vec<String>,
@@ -659,28 +594,11 @@ impl RouterInner {
     }
 
     /// The instance fingerprint `prepare` would compute on any backend:
-    /// compile the spec locally (mirroring the server's spec handling,
-    /// including the default alphabet) and hash it. Placement must be a
-    /// pure function of the spec or the ring and the backends disagree.
+    /// the spec compiled by the servers' own compiler, under the
+    /// configured default alphabet. Placement must be a pure function of
+    /// the spec or the ring and the backends disagree.
     fn fingerprint_of(&self, spec: &InstanceSpec, length: usize) -> Result<u64, WireError> {
-        let nfa = match spec {
-            InstanceSpec::Regex { pattern, alphabet } => {
-                let chars: Vec<char> = alphabet
-                    .as_deref()
-                    .unwrap_or(&self.config.default_alphabet)
-                    .chars()
-                    .collect();
-                if chars.is_empty() {
-                    return Err(WireError::new(ErrorCode::BadRequest, "empty alphabet"));
-                }
-                let ab = Alphabet::from_chars(&chars);
-                let regex = Regex::parse(pattern, &ab)
-                    .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                regex.compile()
-            }
-            InstanceSpec::NfaText(text) => nfa_io::from_text(text)
-                .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?,
-        };
+        let (nfa, _) = spec.compile(&self.config.default_alphabet)?;
         Ok(PreparedInstance::instance_fingerprint(&nfa, length))
     }
 
@@ -822,21 +740,11 @@ fn no_backends() -> WireError {
 /// forward loop converts it into a failover.
 fn wire_client_error(error: ClientError) -> WireError {
     match error {
-        ClientError::Server { code, message } => WireError::new(code_from_str(&code), message),
+        ClientError::Server { code, message } => WireError::new(
+            ErrorCode::parse(&code).unwrap_or(ErrorCode::Internal),
+            message,
+        ),
         other => WireError::new(ErrorCode::Internal, other.to_string()),
-    }
-}
-
-fn code_from_str(code: &str) -> ErrorCode {
-    match code {
-        "bad-request" => ErrorCode::BadRequest,
-        "unknown-session" => ErrorCode::UnknownSession,
-        "not-unambiguous" => ErrorCode::NotUnambiguous,
-        "invalid-token" => ErrorCode::InvalidToken,
-        "fpras-failure" => ErrorCode::Fpras,
-        "overloaded" => ErrorCode::Overloaded,
-        "deadline-exceeded" => ErrorCode::DeadlineExceeded,
-        _ => ErrorCode::Internal,
     }
 }
 
@@ -967,6 +875,53 @@ mod tests {
         assert!(placed.len() > 1, "all specs landed on one backend");
         assert!(router.stats().forwarded > 0);
         routed.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
+    /// The front's framing over real TCP: one raw pipelined batch with a
+    /// CRLF line, a blank line and a line after `bye` gets exactly one
+    /// reply per non-blank line up to `bye`, in order, then EOF.
+    #[test]
+    fn front_framing_answers_a_pipelined_batch_in_order_then_closes() {
+        use std::io::{BufRead, BufReader, Write};
+        let (nodes, _router, front) = cluster(2);
+        let mut stream = std::net::TcpStream::connect(front.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+            .write_all(
+                concat!(
+                    r#"{"op":"hello","proto":1}"#,
+                    "\n",
+                    r#"{"op":"prepare","regex":"(0|1)*11","length":6}"#,
+                    "\r\n\n",
+                    r#"{"op":"count_exact","session":"r1"}"#,
+                    "\n",
+                    r#"{"op":"bye"}"#,
+                    "\n",
+                    r#"{"op":"hello"}"#,
+                    "\n",
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        let replies: Vec<Json> = BufReader::new(stream)
+            .lines()
+            .map(|line| crate::serve::json::parse(&line.unwrap()).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 4, "{replies:?}");
+        assert_eq!(
+            replies[0].get("server").and_then(Json::as_str),
+            Some("nfa_tool route")
+        );
+        assert_eq!(replies[1].get("session").and_then(Json::as_str), Some("r1"));
+        assert_eq!(replies[2].get("count").and_then(Json::as_str), Some("16"));
+        assert_eq!(replies[3].get("bye"), Some(&Json::Bool(true)));
         drop(front);
         for (server, handle) in nodes {
             drop(handle);

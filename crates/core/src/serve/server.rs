@@ -7,11 +7,12 @@
 //! [`WorkerPool`], and — optionally — a [`SnapshotStore`] it warms the
 //! shard fleet from at startup and persists compiled artifacts into as
 //! queries materialize them. Transports are
-//! thin: the TCP accept loop ([`Server::spawn_tcp`]) and the stdio loop
-//! ([`Server::serve_stdio`]) both read request lines, push them through
-//! the pool ([`Server::submit_and_wait`]), and write response lines;
-//! every byte of protocol behavior lives in [`Server::handle_line`], which
-//! is also the direct (transport-free) entry the tests and benches drive.
+//! thin: the threaded TCP transport ([`Server::spawn_tcp`]) and the stdio
+//! transport ([`Server::serve_stdio`]) both run the shared blocking line
+//! loop of `conn.rs`, answering each line through the pool
+//! ([`Server::submit_and_wait`]); every byte of protocol behavior lives
+//! in [`Server::handle_line`], which is also the direct (transport-free)
+//! entry the tests and benches drive.
 //!
 //! **Concurrency model.** Responses on one connection come back in
 //! request order (the connection thread waits for each reply before
@@ -24,27 +25,24 @@
 //! engines, never its own randomness.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use lsc_automata::regex::Regex;
-use lsc_automata::{format_word, io as nfa_io, Alphabet, Word};
+use lsc_automata::{format_word, Alphabet, Word};
 
 use crate::engine::{
     CountRoute, EngineConfig, EngineStats, PreparedInstance, QueryError, QueryKind, QueryOutput,
     QueryRequest, ResumeToken, ShardedConfig, ShardedEngine, SnapshotStore, SweepReport,
     WarmReport,
 };
-use crate::serve::faults::{Fault, FaultPlan, FaultSite, FaultyStream};
+use crate::serve::conn::{serve_lines, spawn_acceptor, Reply, TcpServerHandle};
+use crate::serve::faults::{Fault, FaultPlan, FaultSite};
 use crate::serve::json::Json;
 use crate::serve::pool::{PoolStats, SubmitError, WorkerPool};
 use crate::serve::protocol::{
-    error_response, ok_response, parse_request, Envelope, ErrorCode, InstanceSpec, Request,
-    WireError,
+    error_response, parse_request, respond, ErrorCode, InstanceSpec, Request, WireError,
 };
 use crate::serve::session::{Session, SessionRegistry};
 
@@ -207,15 +205,6 @@ pub struct ServeStats {
     pub shards: Vec<(usize, EngineStats)>,
 }
 
-/// One response line plus whether the connection should close after it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reply {
-    /// The JSON response line (no trailing newline).
-    pub text: String,
-    /// True after a `bye` (or a shutdown refusal).
-    pub close: bool,
-}
-
 pub(crate) struct ServerInner {
     config: ServeConfig,
     engine: ShardedEngine,
@@ -317,7 +306,7 @@ impl Server {
     /// Drops every session a connection owns (the disconnect hook for
     /// transport-free clients).
     pub fn close_conn(&self, conn: u64) {
-        self.inner.sessions.drop_conn(conn);
+        self.inner.end_conn(conn);
     }
 
     /// Parses and executes one request line *directly* on the calling
@@ -330,7 +319,7 @@ impl Server {
     }
 
     /// Pushes one request line through the worker pool and waits for its
-    /// response: the path every real transport uses. Overload and
+    /// response: the path the blocking transports use. Overload and
     /// deadline outcomes surface here as `overloaded` (with
     /// `retry_after_ms`) and `deadline-exceeded` responses.
     pub fn submit_and_wait(&self, conn: u64, line: &str) -> Reply {
@@ -347,46 +336,30 @@ impl Server {
     /// Propagates the bind failure; [`Transport::EventLoop`] on a host
     /// without epoll fails with [`std::io::ErrorKind::Unsupported`].
     pub fn spawn_tcp(&self, addr: &str) -> std::io::Result<TcpServerHandle> {
-        match self.inner.config.transport {
-            Transport::Threaded => self.spawn_tcp_threaded(addr),
+        let config = &self.inner.config;
+        match config.transport {
+            Transport::Threaded => {
+                let inner = self.inner.clone();
+                spawn_acceptor(
+                    addr,
+                    "lsc-serve",
+                    (config.read_timeout, config.write_timeout),
+                    config.faults.clone(),
+                    (FaultSite::StreamRead, FaultSite::StreamWrite),
+                    move |reader, writer| {
+                        let conn = inner.begin_conn();
+                        if serve_lines(reader, writer, |line| inner.submit_and_wait(conn, line)) {
+                            // An I/O error (peer reset, injected fault,
+                            // socket timeout) ended this connection; every
+                            // other connection is unaffected.
+                            inner.note_reset();
+                        }
+                        inner.end_conn(conn);
+                    },
+                )
+            }
             Transport::EventLoop => super::event_loop::spawn(self.inner.clone(), addr),
         }
-    }
-
-    /// The thread-per-connection transport: each accepted socket gets its
-    /// own blocking reader thread; requests execute on the shared pool.
-    fn spawn_tcp_threaded(&self, addr: &str) -> std::io::Result<TcpServerHandle> {
-        // lsc-analyze: allow(unrouted-io) reason="one-time listener setup before any session exists; faults inject at the per-connection FaultyStream"
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let inner = self.inner.clone();
-        let stop_flag = stop.clone();
-        let accept = std::thread::Builder::new()
-            .name("lsc-serve-accept".to_string())
-            .spawn(move || {
-                // lsc-analyze: allow(unrouted-io) reason="accept loop hands every stream to serve_connection, which wraps it in FaultyStream"
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let inner = inner.clone();
-                    // Connection threads are detached: they exit at client
-                    // EOF / `bye`, and shutdown only needs to stop the
-                    // accept loop and the pool.
-                    let _ = std::thread::Builder::new()
-                        .name("lsc-serve-conn".to_string())
-                        .spawn(move || serve_connection(&inner, stream));
-                }
-            })
-            .expect("spawn accept thread");
-        Ok(TcpServerHandle {
-            addr: local,
-            stop,
-            waker: None,
-            accept: Some(accept),
-        })
     }
 
     /// Serves the stdio transport: one request line per stdin line, one
@@ -394,25 +367,9 @@ impl Server {
     /// through the same pool as TCP traffic.
     pub fn serve_stdio(&self) {
         let conn = self.open_conn();
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = self.submit_and_wait(conn, &line);
-            if writeln!(out, "{}", reply.text)
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                break;
-            }
-            if reply.close {
-                break;
-            }
-        }
+        serve_lines(std::io::stdin().lock(), std::io::stdout().lock(), |line| {
+            self.submit_and_wait(conn, line)
+        });
         self.close_conn(conn);
     }
 
@@ -423,130 +380,6 @@ impl Server {
     }
 }
 
-/// A running TCP transport; dropping it (or calling
-/// [`TcpServerHandle::shutdown`]) stops accepting new connections.
-pub struct TcpServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    /// Present on the event-loop transport: shutdown wakes the poller
-    /// instead of self-connecting to unblock a blocking accept.
-    waker: Option<Arc<lsc_reactor::Waker>>,
-    accept: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TcpServerHandle {
-    /// Assembles the handle for the event-loop transport (the threaded
-    /// transport builds its own inside `spawn_tcp_threaded`).
-    pub(crate) fn for_event_loop(
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        waker: Arc<lsc_reactor::Waker>,
-        thread: std::thread::JoinHandle<()>,
-    ) -> TcpServerHandle {
-        TcpServerHandle {
-            addr,
-            stop,
-            waker: Some(waker),
-            accept: Some(thread),
-        }
-    }
-
-    /// Assembles the handle for a thread-per-connection accept loop (the
-    /// server's own threaded transport and the cluster router both use
-    /// this shape: a stop flag checked per accept, unblocked by a
-    /// self-connect).
-    pub(crate) fn threaded(
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        accept: std::thread::JoinHandle<()>,
-    ) -> TcpServerHandle {
-        TcpServerHandle {
-            addr,
-            stop,
-            waker: None,
-            accept: Some(accept),
-        }
-    }
-
-    /// The bound address (use with `addr().port()` after binding port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the transport and joins its thread. Threaded: existing
-    /// connections keep draining on their own threads. Event loop: open
-    /// connections are closed (their sessions drop; resume tokens keep
-    /// working across a reconnect, as always).
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        match &self.waker {
-            // The event loop is parked in epoll_wait; the wake pipe pulls
-            // it out without touching any socket.
-            Some(waker) => waker.wake(),
-            // Unblock the blocking accept call.
-            // lsc-analyze: allow(unrouted-io) reason="wake-the-acceptor self-connect during shutdown; not a data path"
-            None => drop(TcpStream::connect(self.addr)),
-        }
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TcpServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
-    let conn = inner.begin_conn();
-    // Socket timeouts: a silent or non-draining peer fails its next I/O
-    // call and the connection is reaped like any other dirty exit instead
-    // of pinning this thread forever. (Setting them is best-effort — a
-    // socket racing into error here just dies on the first read below.)
-    let _ = stream.set_read_timeout(inner.config.read_timeout);
-    let _ = stream.set_write_timeout(inner.config.write_timeout);
-    // One full frame per write: Nagle + delayed ACK would otherwise stall
-    // small request/response lines for tens of milliseconds.
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        inner.resets_survived.fetch_add(1, Ordering::Relaxed);
-        inner.sessions.drop_conn(conn);
-        return;
-    };
-    let plan = inner.config.faults.clone();
-    let reader = BufReader::new(FaultyStream::new(read_half, plan.clone()));
-    let mut writer = BufWriter::new(FaultyStream::new(stream, plan));
-    let mut dirty = false;
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            dirty = true;
-            break;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = inner.submit_and_wait(conn, &line);
-        if writeln!(writer, "{}", reply.text)
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            dirty = true;
-            break;
-        }
-        if reply.close {
-            break;
-        }
-    }
-    if dirty {
-        // An I/O error (peer reset, injected fault, socket timeout) ended
-        // this connection; every other connection is unaffected.
-        inner.resets_survived.fetch_add(1, Ordering::Relaxed);
-    }
-    inner.sessions.drop_conn(conn);
-}
-
 /// Exactly-once completion slot for an asynchronously submitted request.
 ///
 /// Whichever of the job's paths runs first — `work` with the real reply,
@@ -554,14 +387,12 @@ fn serve_connection(inner: &Arc<ServerInner>, stream: TcpStream) {
 /// the other finds the slot empty. If *neither* ran (the job panicked
 /// before completing, or the pool dropped it), the slot's own `Drop` —
 /// which runs once both closures are gone — delivers a typed `internal`
-/// reply, so an event-loop connection can never hang on a lost job. This
-/// is the nonblocking mirror of the reply-channel `RecvError` fallback in
-/// [`ServerInner::submit_and_wait`].
+/// reply, so no connection can hang on a lost job.
 struct DoneSlot {
     done: Mutex<Option<DoneCallback>>,
 }
 
-/// The event loop's reply hand-off, boxed once at submission.
+/// A transport's reply hand-off, boxed once at submission.
 type DoneCallback = Box<dyn FnOnce(Reply) + Send>;
 
 impl DoneSlot {
@@ -631,8 +462,9 @@ impl ServerInner {
         self.config.read_timeout
     }
 
-    /// Submits one request line for asynchronous execution: the
-    /// event-loop twin of [`ServerInner::submit_and_wait`]. `done` fires
+    /// Submits one request line for asynchronous execution — the one pool
+    /// submission every transport goes through (the event loop directly,
+    /// the blocking transports via [`ServerInner::submit_and_wait`]). `done` fires
     /// exactly once, on a worker thread, with the reply (real, expired,
     /// or — via [`DoneSlot`] — `internal` if the job was lost). `waited`
     /// is how long the line already sat parsed in the connection's
@@ -739,68 +571,18 @@ impl ServerInner {
         }
     }
 
+    /// [`ServerInner::submit_async`] behind a one-shot channel: the
+    /// blocking transports' submission path.
     fn submit_and_wait(self: &Arc<Self>, conn: u64, line: &str) -> Reply {
-        let (tx, rx) = mpsc::channel::<Reply>();
-        let work = {
-            let inner = self.clone();
-            let line = line.to_string();
-            let tx = tx.clone();
-            move || {
-                if let Some(plan) = &inner.config.faults {
-                    if let Some(planned) = plan.decide(FaultSite::Job) {
-                        if planned.fault == Fault::Panic {
-                            // The worker unwinds (and the pool respawns
-                            // it); the submitter sees the dropped reply
-                            // channel and answers `internal` (close: true).
-                            panic!("injected: queued job panic");
-                        }
-                    }
-                }
-                let _ = tx.send(inner.handle_line(conn, &line));
-            }
-        };
-        let expire = {
-            let line = line.to_string();
-            move || {
-                let id = parse_request(&line).ok().and_then(|e| e.id);
-                let error = WireError::new(
-                    ErrorCode::DeadlineExceeded,
-                    "request expired in queue before execution",
-                );
-                let _ = tx.send(Reply {
-                    text: error_response(id.as_ref(), &error),
-                    close: false,
-                });
-            }
-        };
-        match self.pool.submit(self.config.deadline, work, expire) {
-            Ok(()) => rx.recv().unwrap_or_else(|_| Reply {
-                text: error_response(
-                    None,
-                    &WireError::new(ErrorCode::Internal, "worker dropped the request"),
-                ),
-                close: true,
-            }),
-            Err(SubmitError::Full) => {
-                let id = parse_request(line).ok().and_then(|e| e.id);
-                let mut error = WireError::new(
-                    ErrorCode::Overloaded,
-                    "request queue is full; back off and retry",
-                );
-                error.retry_after_ms = Some(self.retry_after_ms());
-                self.retries_hinted.fetch_add(1, Ordering::Relaxed);
-                Reply {
-                    text: error_response(id.as_ref(), &error),
-                    close: false,
-                }
-            }
-            Err(SubmitError::Shutdown) => Reply {
-                text: error_response(
-                    None,
-                    &WireError::new(ErrorCode::Internal, "server is shutting down"),
-                ),
-                close: true,
-            },
+        // `channel`, not `sync_channel(1)`: the bounded flavour measured
+        // 47% worse cold-compile enumerate p90 in perfbench (2 vCPUs).
+        let (tx, rx) = mpsc::channel();
+        let done = Box::new(move |reply| {
+            let _ = tx.send(reply);
+        });
+        match self.submit_async(conn, line.to_string(), Duration::ZERO, done) {
+            Ok(()) => rx.recv().expect("DoneSlot answers every admitted job"),
+            Err(refusal) => refusal,
         }
     }
 
@@ -818,22 +600,7 @@ impl ServerInner {
 
     fn handle_line(&self, conn: u64, line: &str) -> Reply {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let envelope = match parse_request(line) {
-            Ok(envelope) => envelope,
-            Err(error) => {
-                return Reply {
-                    text: error_response(None, &error),
-                    close: false,
-                }
-            }
-        };
-        let Envelope { id, request } = envelope;
-        let close = matches!(request, Request::Bye);
-        let text = match self.dispatch(conn, request) {
-            Ok(fields) => ok_response(id.as_ref(), fields),
-            Err(error) => error_response(id.as_ref(), &error),
-        };
-        Reply { text, close }
+        respond(line, |request| self.dispatch(conn, request))
     }
 
     fn dispatch(&self, conn: u64, request: Request) -> Result<Vec<(String, Json)>, WireError> {
@@ -1063,28 +830,8 @@ impl ServerInner {
         spec: &InstanceSpec,
         length: usize,
     ) -> Result<Vec<(String, Json)>, WireError> {
-        let (nfa, alphabet) = match spec {
-            InstanceSpec::Regex { pattern, alphabet } => {
-                let chars: Vec<char> = alphabet
-                    .as_deref()
-                    .unwrap_or(&self.config.default_alphabet)
-                    .chars()
-                    .collect();
-                if chars.is_empty() {
-                    return Err(WireError::new(ErrorCode::BadRequest, "empty alphabet"));
-                }
-                let ab = Alphabet::from_chars(&chars);
-                let regex = Regex::parse(pattern, &ab)
-                    .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                (Arc::new(regex.compile()), ab)
-            }
-            InstanceSpec::NfaText(text) => {
-                let nfa = nfa_io::from_text(text)
-                    .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
-                let alphabet = nfa.alphabet().clone();
-                (Arc::new(nfa), alphabet)
-            }
-        };
+        let (nfa, alphabet) = spec.compile(&self.config.default_alphabet)?;
+        let nfa = Arc::new(nfa);
         let handle = self.engine.prepare_nfa(&nfa, length);
         // The classification is needed to answer (and report) anything, so
         // materialize it now — it is also the first artifact worth

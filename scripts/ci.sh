@@ -33,6 +33,16 @@ echo "== router chaos smoke: kill + join on a 3-backend ring =="
 LSC_ROUTER_CHAOS_OPS=12 LSC_ROUTER_CHAOS_CLIENTS=3 \
 cargo test -q --release -p lsc-core --test router_chaos
 
+echo "== stdio smoke: nfa_tool serve --stdio =="
+# Sessions number from s1 per server; count-exact of "ends in 11" at
+# length 6 is 16.
+STDIO_OUT="$(printf '%s\n' \
+  '{"op":"prepare","regex":"(0|1)*11","length":6}' \
+  '{"op":"count_exact","session":"s1"}' \
+  '{"op":"bye"}' | ./target/release/nfa_tool serve --stdio true)"
+echo "$STDIO_OUT" | grep -q '"count":"16"'
+echo "stdio smoke: ok"
+
 echo "== router e2e smoke: nfa_tool route over two nfa_tool serve nodes =="
 ROUTE_DIR="$(mktemp -d)"
 trap 'rm -rf "$ROUTE_DIR"' EXIT
