@@ -17,9 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_automata::families::blowup_nfa;
 use lsc_automata::Nfa;
 use lsc_bench::workloads;
-use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryRequest, RouterConfig, ShardedConfig, ShardedEngine,
-};
+use lsc_core::engine::{Engine, EngineConfig, RouterConfig, ShardedConfig, ShardedEngine};
 use lsc_core::fpras::FprasParams;
 use lsc_core::MemNfa;
 use rand::rngs::StdRng;
@@ -46,13 +44,15 @@ fn engine_warm_vs_cold_exact(c: &mut Criterion) {
         });
     });
     group.bench_function(BenchmarkId::from_parameter("warm-engine"), |b| {
-        let nfa = std::sync::Arc::new(w.nfa.clone());
-        let requests: Vec<QueryRequest> = (0..QUERIES)
-            .map(|i| QueryRequest::automaton(nfa.clone(), w.n, QueryKind::CountExact, i as u64))
-            .collect();
+        let nfa = Arc::new(w.nfa.clone());
         b.iter(|| {
             let engine = Engine::with_defaults();
-            engine.query_batch(&requests)
+            let handle = engine.prepare_nfa(&nfa, w.n);
+            let mut bits = 0usize;
+            for _ in 0..QUERIES {
+                bits ^= engine.count_exact_on(&handle).unwrap().0.bit_len();
+            }
+            bits
         });
     });
     group.finish();
@@ -85,51 +85,21 @@ fn engine_warm_vs_cold_fpras(c: &mut Criterion) {
         });
     });
     group.bench_function(BenchmarkId::from_parameter("warm-engine"), |b| {
-        let nfa = std::sync::Arc::new(w.nfa.clone());
-        let requests: Vec<QueryRequest> = (0..QUERIES)
-            .map(|i| QueryRequest::automaton(nfa.clone(), w.n, QueryKind::Count, i as u64))
-            .collect();
+        let nfa = Arc::new(w.nfa.clone());
         let config = EngineConfig {
             router,
             ..EngineConfig::default()
         };
         b.iter(|| {
             let engine = Engine::new(config);
-            engine.query_batch(&requests)
+            let handle = engine.prepare_nfa(&nfa, w.n);
+            let mut acc = 0.0f64;
+            for _ in 0..QUERIES {
+                acc += engine.count_on(&handle).unwrap().0.estimate.to_f64();
+            }
+            acc
         });
     });
-    group.finish();
-}
-
-/// Mixed COUNT/ENUM/GEN traffic against one instance through a warm engine —
-/// the all-three-problems-from-one-artifact serving shape.
-fn engine_mixed_traffic(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/e14-mixed");
-    group.sample_size(10);
-    let w = workloads::engine_ufa_instance();
-    let nfa = std::sync::Arc::new(w.nfa.clone());
-    let requests: Vec<QueryRequest> = (0..QUERIES)
-        .map(|i| {
-            let kind = match i % 3 {
-                0 => QueryKind::CountExact,
-                1 => QueryKind::Enumerate { limit: 64 },
-                _ => QueryKind::Sample { count: 16 },
-            };
-            QueryRequest::automaton(nfa.clone(), w.n, kind, i as u64)
-        })
-        .collect();
-    for threads in [1usize, 4] {
-        group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            let config = EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            };
-            b.iter(|| {
-                let engine = Engine::new(config);
-                engine.query_batch(&requests)
-            });
-        });
-    }
     group.finish();
 }
 
@@ -186,7 +156,6 @@ criterion_group!(
     benches,
     engine_warm_vs_cold_exact,
     engine_warm_vs_cold_fpras,
-    engine_mixed_traffic,
     engine_shard_scaling
 );
 criterion_main!(benches);

@@ -1,41 +1,39 @@
 //! The query engine: a fingerprint-keyed, byte-capped LRU cache of
-//! [`PreparedInstance`]s plus the session, cursor, and batch serving APIs.
+//! [`PreparedInstance`]s plus the session and query APIs served from it.
 //!
 //! A production deployment sees the same automata over and over (the same
 //! RPQ against a slowly-changing graph, the same spanner over many
 //! documents, the same DNF reduction re-counted under different lengths).
-//! The engine makes the repeat traffic cheap, in three layers:
+//! The engine makes the repeat traffic cheap, in two layers:
 //!
 //! * **Sessions** — [`Engine::prepare`] turns any [`Queryable`] domain object
 //!   into a cheap [`InstanceHandle`]: the reduction runs once per distinct
 //!   domain fingerprint, the prepared artifact lives in the shared cache, and
-//!   the handle is a couple of words to clone. [`QueryRequest`]s take handles
-//!   (or `Arc`'d automata) — nothing on the request path deep-copies an
-//!   automaton.
-//! * **Typed queries** — [`Engine::count`], [`Engine::enumerate`],
+//!   the handle is a couple of words to clone. Every query runs on a handle's
+//!   pinned artifact — nothing on the request path deep-copies an automaton.
+//! * **Queries** — [`Engine::count`], [`Engine::enumerate`],
 //!   [`Engine::sample`] are generic over [`Queryable`] and return domain
 //!   values: counts with provenance, streaming [`EnumCursor`]s (resumable via
-//!   [`ResumeToken`]s), and amortized [`GenStream`]s.
-//! * **Batch** — the original [`QueryRequest`] / [`QueryResponse`] API,
-//!   rebuilt on top of the cursor surface and kept as the thin compatibility
-//!   layer for callers that want many answers at once, with deterministic
-//!   multi-threaded dispatch.
+//!   [`ResumeToken`]s), and amortized [`GenStream`]s. The buffered verbs a
+//!   server answers per request take a handle instead:
+//!   [`Engine::count_on`], [`Engine::count_exact_on`] and
+//!   [`Engine::sample_on`] each resolve the handle through the LRU once
+//!   (reporting `cache_hit`), run on the handle's instance, and settle the
+//!   byte cap afterwards.
 //!
-//! **Determinism.** Batch responses are bit-identical at any `threads`
-//! setting and across warm/cold caches:
+//! **`cache_hit` and the byte cap.** Hit/miss totals in [`EngineStats`] count
+//! resolutions: every `prepare` and every handle entry resolves once, so `k`
+//! resolutions of one instance contribute `1` miss and `k − 1` hits. A
+//! handle whose entry was evicted in between re-inserts its pinned instance
+//! and reports a miss (no recompilation happens either way). Queries
+//! materialize tables lazily, so every buffered verb re-measures its entry
+//! when it finishes ([`Engine::settle`], which servers also call after an
+//! `ENUM` page) and evicts least-recently-used entries until the cap holds.
 //!
-//! * instance resolution (and with it the `cache_hit` flag) happens in a
-//!   single-threaded pass before the fan-out, so flags never depend on
-//!   thread interleaving;
-//! * each request owns its randomness (`QueryRequest::seed`), so execution
-//!   order cannot leak between requests;
-//! * engine-owned randomness (the cached FPRAS sketch) is seeded from
-//!   `config.seed` mixed with the instance fingerprint — a pure function of
-//!   the configuration and the instance, never of arrival order.
-//!
-//! The fan-out itself reuses the thread-chunk scheme of the FPRAS sampling
-//! pass: requests are split into contiguous chunks, one scoped thread per
-//! chunk, each writing into its own slice of the result vector.
+//! **Determinism.** Every answer is a pure function of the instance, the
+//! request's own seed, and the engine-owned randomness — the cached FPRAS
+//! sketch, seeded from `config.seed` mixed with the instance fingerprint,
+//! never from arrival order. Warm and cold caches give bit-identical answers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,9 +61,6 @@ pub struct EngineConfig {
     /// most-recently-used entry is never evicted, so one oversized instance
     /// still serves).
     pub cache_bytes: usize,
-    /// Worker threads for batched dispatch (responses are identical at any
-    /// setting).
-    pub threads: usize,
     /// Master seed for engine-owned randomness (the cached FPRAS sketches).
     pub seed: u64,
     /// Las Vegas attempts per requested witness on the ambiguous `GEN` route.
@@ -82,7 +77,6 @@ impl Default for EngineConfig {
         EngineConfig {
             router: RouterConfig::default(),
             cache_bytes: 256 << 20,
-            threads: 1,
             seed: 0x10_65C0,
             retries: 256,
             domain_entries: 1024,
@@ -94,7 +88,7 @@ impl Default for EngineConfig {
 /// session half of the query API. Obtained from [`Engine::prepare`] (typed)
 /// or [`Engine::prepare_nfa`] (raw); holding one pins the artifact in memory
 /// (the cache may still evict its entry, but the handle keeps serving), and
-/// requests built on a handle skip instance resolution entirely.
+/// every query runs on that pinned artifact.
 #[derive(Clone)]
 pub struct InstanceHandle {
     inst: Arc<PreparedInstance>,
@@ -119,98 +113,11 @@ impl InstanceHandle {
     }
 
     /// Whether the instance was already cached when the handle was prepared
-    /// (the session-level analogue of [`QueryResponse::cache_hit`]).
+    /// (the session-level analogue of the `cache_hit` the handle entries
+    /// report).
     pub fn was_cached(&self) -> bool {
         self.cache_hit
     }
-}
-
-/// What a [`QueryRequest`] runs against. Both forms are cheap to clone —
-/// the per-request deep copy of the automaton is gone by construction.
-#[derive(Clone)]
-pub enum QueryTarget {
-    /// An automaton and witness length, resolved through the instance cache
-    /// at batch time (first occurrence pays the preparation, later ones hit).
-    Automaton {
-        /// The automaton `N`, shared.
-        nfa: Arc<Nfa>,
-        /// The witness length `n`.
-        length: usize,
-    },
-    /// A pre-resolved session handle: no cache lookup cost beyond an LRU
-    /// touch, and a guaranteed hit unless the entry was evicted meanwhile.
-    Handle(InstanceHandle),
-}
-
-/// One query against one instance. `seed` feeds the randomized kinds
-/// (`Count` on the FPRAS route is seeded by the engine instead — see the
-/// module docs — so equal requests give equal answers regardless of order).
-#[derive(Clone)]
-pub struct QueryRequest {
-    /// The instance to query.
-    pub target: QueryTarget,
-    /// Which of the paper's three problems to answer.
-    pub kind: QueryKind,
-    /// Request-owned randomness for `Sample`.
-    pub seed: u64,
-}
-
-impl QueryRequest {
-    /// A request against `(nfa, length)`. Accepts `Nfa` or `Arc<Nfa>`; pass
-    /// the same `Arc` across requests to share one allocation batch-wide.
-    pub fn automaton(nfa: impl Into<Arc<Nfa>>, length: usize, kind: QueryKind, seed: u64) -> Self {
-        QueryRequest {
-            target: QueryTarget::Automaton {
-                nfa: nfa.into(),
-                length,
-            },
-            kind,
-            seed,
-        }
-    }
-
-    /// A request against a prepared session handle.
-    pub fn on(handle: &InstanceHandle, kind: QueryKind, seed: u64) -> Self {
-        QueryRequest {
-            target: QueryTarget::Handle(handle.clone()),
-            kind,
-            seed,
-        }
-    }
-}
-
-/// The problem to answer, in the paper's `COUNT` / `ENUM` / `GEN` taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryKind {
-    /// Routed `COUNT`: exact where exactness is affordable, FPRAS otherwise.
-    Count,
-    /// Exact `COUNT` (Theorem 5) — errors on ambiguous instances.
-    CountExact,
-    /// `ENUM`: constant delay on UFA instances, polynomial delay otherwise,
-    /// truncated to `limit` witnesses. Batch answers are buffered; use
-    /// [`Engine::enumerate`] / [`Engine::cursor`] for streaming and paging.
-    Enumerate {
-        /// Maximum number of witnesses to return.
-        limit: usize,
-    },
-    /// `GEN`: `count` uniform witnesses (exact on UFA instances, Las Vegas
-    /// otherwise). Batch answers are buffered; use [`Engine::sample`] /
-    /// [`Engine::gen_stream`] for an amortized draw stream.
-    Sample {
-        /// Number of witnesses requested.
-        count: usize,
-    },
-}
-
-/// A successful query answer.
-#[derive(Clone, Debug)]
-pub enum QueryOutput {
-    /// `Count`: the routed count with provenance.
-    Count(RoutedCount),
-    /// `CountExact`: the exact witness count.
-    Exact(BigNat),
-    /// `Enumerate` / `Sample`: the witnesses.
-    Words(Vec<Word>),
 }
 
 /// Why a query failed.
@@ -243,31 +150,6 @@ impl From<NotUnambiguousError> for QueryError {
     fn from(NotUnambiguousError: NotUnambiguousError) -> Self {
         QueryError::NotUnambiguous
     }
-}
-
-/// One answered query.
-///
-/// **`cache_hit` semantics.** Resolution runs single-threaded in request
-/// order before the execution fan-out, and the flag records what the cache
-/// held *at that request's turn*. Consequences, all deterministic:
-///
-/// * within one batch, a duplicate of an earlier request reports a hit even
-///   if the batch as a whole arrived cold (the first occurrence inserted the
-///   instance);
-/// * a [`QueryTarget::Handle`] request reports a hit as long as its entry is
-///   still cached — normally always, since [`Engine::prepare`] inserted it;
-///   if the entry was evicted in between, the handle re-inserts its pinned
-///   instance and reports a miss (no recompilation happens either way);
-/// * hit/miss totals in [`EngineStats`] count resolutions, so `k` duplicate
-///   requests contribute `1` miss and `k − 1` hits regardless of thread
-///   count or arrival order.
-#[derive(Clone, Debug)]
-pub struct QueryResponse {
-    /// The answer, or why there is none.
-    pub output: Result<QueryOutput, QueryError>,
-    /// Whether the instance was already cached when this request was
-    /// resolved (see the type docs for the exact semantics).
-    pub cache_hit: bool,
 }
 
 /// Cache counters, for observability and the cache-behavior tests.
@@ -311,15 +193,6 @@ struct Entry {
     inst: Arc<PreparedInstance>,
     bytes: usize,
     last_used: u64,
-}
-
-/// One request's resolved instance: the shared artifact, whether it was
-/// already cached, and the cache key (computed once, reused by the
-/// post-execution byte refresh).
-struct Resolved {
-    inst: Arc<PreparedInstance>,
-    cache_hit: bool,
-    key: InstanceKey,
 }
 
 struct CacheInner {
@@ -507,12 +380,7 @@ impl Engine {
     /// identity-domain variant of [`Engine::prepare`]: served from the cache
     /// when present, inserted (lazily, nothing materialized yet) otherwise.
     pub fn prepare_nfa(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
-        let resolved = self.lookup_or_insert(nfa, length);
-        InstanceHandle {
-            inst: resolved.inst,
-            key: resolved.key,
-            cache_hit: resolved.cache_hit,
-        }
+        self.lookup_or_insert(nfa, length)
     }
 
     /// The prepared instance for `(nfa, length)` — [`Engine::prepare_nfa`]
@@ -609,9 +477,7 @@ impl Engine {
     /// # Errors
     /// Propagates FPRAS failure events when the FPRAS route fires.
     pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
-        let handle = self.prepare(queryable);
-        let seed = self.sketch_seed(&handle.inst);
-        Ok(handle.inst.count_routed_cached(&self.config.router, seed)?)
+        self.routed(&self.prepare(queryable))
     }
 
     /// Exact `COUNT` on a domain object (Theorem 5, unambiguous reductions
@@ -620,7 +486,7 @@ impl Engine {
     /// # Errors
     /// [`QueryError::NotUnambiguous`] on ambiguous instances.
     pub fn count_exact<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<BigNat, QueryError> {
-        Ok(self.prepare(queryable).inst.count_exact()?)
+        self.exact(&self.prepare(queryable))
     }
 
     /// Streaming `ENUM` on a domain object: a typed cursor yielding decoded
@@ -663,11 +529,68 @@ impl Engine {
         draw_seed: u64,
     ) -> Result<GenStream<'q, Q>, QueryError> {
         let handle = self.prepare(queryable);
-        let stream = self.gen_stream(&handle, draw_seed)?;
-        Ok(GenStream::new(queryable, stream))
+        Ok(GenStream::new(queryable, self.stream(&handle, draw_seed)?))
     }
 
-    // ---- word-level sessions (handles in, raw words out) ----
+    // ---- handle entries (handles in, raw words out) ----
+
+    /// Routed `COUNT` on a session handle, with whether the handle's
+    /// instance was still cached (see the module docs on `cache_hit`).
+    ///
+    /// # Errors
+    /// Propagates FPRAS failure events when the FPRAS route fires.
+    pub fn count_on(&self, handle: &InstanceHandle) -> Result<(RoutedCount, bool), QueryError> {
+        let cache_hit = self.touch(handle);
+        Ok((self.routed(handle)?, cache_hit))
+    }
+
+    /// Exact `COUNT` on a session handle, with its `cache_hit`.
+    ///
+    /// # Errors
+    /// [`QueryError::NotUnambiguous`] on ambiguous instances.
+    pub fn count_exact_on(&self, handle: &InstanceHandle) -> Result<(BigNat, bool), QueryError> {
+        let cache_hit = self.touch(handle);
+        Ok((self.exact(handle)?, cache_hit))
+    }
+
+    /// The first `count` draws of [`Engine::gen_stream`] under `draw_seed`,
+    /// with the handle's `cache_hit`.
+    ///
+    /// # Errors
+    /// Propagates FPRAS failure events from the (cached) sketch build on the
+    /// ambiguous route.
+    pub fn sample_on(
+        &self,
+        handle: &InstanceHandle,
+        draw_seed: u64,
+        count: usize,
+    ) -> Result<(Vec<Word>, bool), QueryError> {
+        let cache_hit = self.touch(handle);
+        let words = self
+            .gen_stream(handle, draw_seed)
+            .map(|stream| stream.take(count).collect());
+        self.settle(handle);
+        Ok((words?, cache_hit))
+    }
+
+    /// Re-measures the handle's cache entry (queries materialize tables
+    /// lazily) and evicts least-recently-used entries until the byte cap
+    /// holds again. Counts no resolution: servers call it after an `ENUM`
+    /// page, and every buffered verb ends with it. A handle whose entry was
+    /// evicted, or replaced by another artifact, changes nothing.
+    pub fn settle(&self, handle: &InstanceHandle) {
+        let fresh = handle.inst.approx_bytes();
+        let mut inner = self.inner.lock().expect("engine cache poisoned");
+        let Some(entry) = inner.entries.get_mut(&handle.key) else {
+            return;
+        };
+        if !Arc::ptr_eq(&entry.inst, &handle.inst) {
+            return;
+        }
+        let old = std::mem::replace(&mut entry.bytes, fresh);
+        inner.total_bytes = (inner.total_bytes + fresh).saturating_sub(old);
+        self.evict_locked(&mut inner);
+    }
 
     /// A raw-word cursor over a session handle (the untyped sibling of
     /// [`Engine::enumerate`], for tools that print words directly).
@@ -708,6 +631,34 @@ impl Engine {
         )?)
     }
 
+    /// Routed `COUNT` on the handle's instance, settled.
+    pub(super) fn routed(&self, handle: &InstanceHandle) -> Result<RoutedCount, QueryError> {
+        let routed = handle
+            .inst
+            .count_routed_cached(&self.config.router, self.sketch_seed(&handle.inst));
+        self.settle(handle);
+        Ok(routed?)
+    }
+
+    /// Exact `COUNT` on the handle's instance, settled.
+    pub(super) fn exact(&self, handle: &InstanceHandle) -> Result<BigNat, QueryError> {
+        let count = handle.inst.count_exact();
+        self.settle(handle);
+        Ok(count?)
+    }
+
+    /// [`Engine::gen_stream`], settled once the stream is built (building
+    /// it may build the sketch; later draws are charged at the next touch).
+    pub(super) fn stream(
+        &self,
+        handle: &InstanceHandle,
+        draw_seed: u64,
+    ) -> Result<WordGenStream, QueryError> {
+        let stream = self.gen_stream(handle, draw_seed);
+        self.settle(handle);
+        stream
+    }
+
     // ---- cache internals ----
 
     /// Resolves `key` through the cache: on a hit, touches LRU state and
@@ -716,7 +667,7 @@ impl Engine {
         &self,
         key: InstanceKey,
         make: impl FnOnce() -> Arc<PreparedInstance>,
-    ) -> Resolved {
+    ) -> InstanceHandle {
         let mut inner = self.inner.lock().expect("engine cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
@@ -724,7 +675,7 @@ impl Engine {
             entry.last_used = tick;
             // Re-measure on every touch (cheap — per-table sizes are
             // memoized) so tables materialized through a directly-held
-            // `Arc` or `InstanceHandle` are accounted for too.
+            // `Arc` are accounted for too.
             let fresh = entry.inst.approx_bytes();
             let old = std::mem::replace(&mut entry.bytes, fresh);
             (entry.inst.clone(), fresh, old)
@@ -733,10 +684,10 @@ impl Engine {
             inner.total_bytes = (inner.total_bytes + fresh).saturating_sub(old);
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.evict_locked(&mut inner);
-            return Resolved {
+            return InstanceHandle {
                 inst,
-                cache_hit: true,
                 key,
+                cache_hit: true,
             };
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -752,14 +703,14 @@ impl Engine {
             },
         );
         self.evict_locked(&mut inner);
-        Resolved {
+        InstanceHandle {
             inst,
-            cache_hit: false,
             key,
+            cache_hit: false,
         }
     }
 
-    fn lookup_or_insert(&self, nfa: &Arc<Nfa>, length: usize) -> Resolved {
+    fn lookup_or_insert(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
         let key = InstanceKey::of(nfa, length);
         // A miss clones only the `Arc` — the automaton itself is never
         // deep-copied on the request path.
@@ -768,38 +719,13 @@ impl Engine {
         })
     }
 
-    /// Resolution for handle-carrying requests: an LRU touch when the entry
-    /// survives, a re-insert of the pinned instance (reported as a miss, but
-    /// with zero recompilation) when it was evicted.
-    fn resolve_handle(&self, handle: &InstanceHandle) -> Resolved {
+    /// One resolution of a handle, returning its `cache_hit`: an LRU touch
+    /// when the entry survives, a re-insert of the pinned instance
+    /// (reported as a miss, but with zero recompilation) when it was
+    /// evicted.
+    fn touch(&self, handle: &InstanceHandle) -> bool {
         self.resolve_with(handle.key, || handle.inst.clone())
-    }
-
-    fn resolve_target(&self, target: &QueryTarget) -> Resolved {
-        match target {
-            QueryTarget::Automaton { nfa, length } => self.lookup_or_insert(nfa, *length),
-            QueryTarget::Handle(handle) => self.resolve_handle(handle),
-        }
-    }
-
-    /// Re-measures the given instances (their lazy tables may have grown
-    /// during execution) and evicts least-recently-used entries until the
-    /// byte cap holds again. Keys come from the resolution pass — no
-    /// re-fingerprinting here.
-    fn refresh_bytes(&self, touched: &[Resolved]) {
-        let mut inner = self.inner.lock().expect("engine cache poisoned");
-        let mut delta: isize = 0;
-        for r in touched {
-            let fresh = r.inst.approx_bytes();
-            if let Some(entry) = inner.entries.get_mut(&r.key) {
-                if Arc::ptr_eq(&entry.inst, &r.inst) {
-                    delta += fresh as isize - entry.bytes as isize;
-                    entry.bytes = fresh;
-                }
-            }
-        }
-        inner.total_bytes = inner.total_bytes.saturating_add_signed(delta);
-        self.evict_locked(&mut inner);
+            .cache_hit
     }
 
     fn evict_locked(&self, inner: &mut CacheInner) {
@@ -832,98 +758,12 @@ impl Engine {
         self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ inst.fingerprint()
     }
 
-    /// One batch execution, rebuilt on the streaming surface: `Enumerate`
-    /// buffers a cursor page, `Sample` buffers a draw-stream prefix, so the
-    /// compatibility layer and the cursors can never disagree on content or
-    /// order.
-    fn execute(
-        &self,
-        inst: &Arc<PreparedInstance>,
-        kind: QueryKind,
-        seed: u64,
-    ) -> Result<QueryOutput, QueryError> {
-        match kind {
-            QueryKind::Count => Ok(QueryOutput::Count(
-                inst.count_routed_cached(&self.config.router, self.sketch_seed(inst))?,
-            )),
-            QueryKind::CountExact => Ok(QueryOutput::Exact(inst.count_exact()?)),
-            QueryKind::Enumerate { limit } => Ok(QueryOutput::Words(
-                WordCursor::fresh(inst.clone()).take(limit).collect(),
-            )),
-            QueryKind::Sample { count } => {
-                let stream = WordGenStream::new(
-                    inst,
-                    &self.config.router,
-                    self.config.retries,
-                    self.sketch_seed(inst),
-                    seed,
-                )?;
-                Ok(QueryOutput::Words(stream.take(count).collect()))
-            }
-        }
-    }
-
-    /// Answers one request.
-    pub fn query(&self, request: &QueryRequest) -> QueryResponse {
-        self.query_batch(std::slice::from_ref(request))
-            .pop()
-            .expect("one response per request")
-    }
-
-    /// Answers a batch, fanning execution across `config.threads` workers
-    /// (chunked like the FPRAS sampling pass; see the module docs for why the
-    /// responses are identical at any thread count).
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // Phase 1, single-threaded: resolve every instance (and the hit
-        // flags) deterministically.
-        let resolved: Vec<Resolved> = requests
-            .iter()
-            .map(|r| self.resolve_target(&r.target))
-            .collect();
-        // Phase 2: execute, chunked across scoped threads.
-        let threads = self.config.threads.clamp(1, requests.len());
-        let outputs: Vec<Result<QueryOutput, QueryError>> = if threads == 1 {
-            requests
-                .iter()
-                .zip(&resolved)
-                .map(|(r, res)| self.execute(&res.inst, r.kind, r.seed))
-                .collect()
-        } else {
-            let mut slots: Vec<Option<Result<QueryOutput, QueryError>>> =
-                (0..requests.len()).map(|_| None).collect();
-            let chunk = requests.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((reqs, insts), out) in requests
-                    .chunks(chunk)
-                    .zip(resolved.chunks(chunk))
-                    .zip(slots.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for ((r, res), slot) in reqs.iter().zip(insts).zip(out) {
-                            *slot = Some(self.execute(&res.inst, r.kind, r.seed));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("thread filled slot"))
-                .collect()
-        };
-        // Phase 3, single-threaded: account for whatever the queries
-        // materialized, and enforce the byte cap.
-        self.refresh_bytes(&resolved);
-        outputs
-            .into_iter()
-            .zip(resolved)
-            .map(|(output, res)| QueryResponse {
-                output,
-                cache_hit: res.cache_hit,
-            })
-            .collect()
+    /// The bytes the resident instances measure right now — what
+    /// `stats().bytes` must equal once every query has settled.
+    #[cfg(test)]
+    pub(crate) fn measured_bytes(&self) -> usize {
+        let inner = self.inner.lock().expect("engine cache poisoned");
+        inner.entries.values().map(|e| e.inst.approx_bytes()).sum()
     }
 }
 
@@ -935,39 +775,22 @@ mod tests {
     use lsc_automata::regex::Regex;
     use lsc_automata::Alphabet;
 
-    fn exact_count_request(k: usize, n: usize) -> QueryRequest {
-        QueryRequest::automaton(blowup_nfa(k), n, QueryKind::CountExact, 0)
-    }
-
-    fn target_nfa(r: &QueryRequest) -> Arc<Nfa> {
-        match &r.target {
-            QueryTarget::Automaton { nfa, .. } => nfa.clone(),
-            QueryTarget::Handle(h) => h.instance().nfa_arc().clone(),
-        }
-    }
-
-    fn target_length(r: &QueryRequest) -> usize {
-        match &r.target {
-            QueryTarget::Automaton { length, .. } => *length,
-            QueryTarget::Handle(h) => h.length(),
-        }
+    fn blowup(k: usize) -> Arc<Nfa> {
+        Arc::new(blowup_nfa(k))
     }
 
     #[test]
     fn warm_requests_hit_the_cache() {
         let engine = Engine::with_defaults();
-        let r = exact_count_request(4, 10);
-        let cold = engine.query(&r);
-        assert!(!cold.cache_hit);
-        let warm = engine.query(&r);
-        assert!(warm.cache_hit);
-        let (Ok(QueryOutput::Exact(a)), Ok(QueryOutput::Exact(b))) = (cold.output, warm.output)
-        else {
-            panic!("exact counts expected");
-        };
+        let handle = engine.prepare_nfa(&blowup(4), 10);
+        assert!(!handle.was_cached());
+        let (a, hit) = engine.count_exact_on(&handle).unwrap();
+        assert!(hit);
+        let (b, hit) = engine.count_exact_on(&handle).unwrap();
+        assert!(hit);
         assert_eq!(a, b);
         let stats = engine.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
         assert!(stats.bytes > 0);
     }
 
@@ -979,47 +802,52 @@ mod tests {
             ..EngineConfig::default()
         };
         let engine = Engine::new(config);
-        let a = exact_count_request(4, 10);
-        let b = exact_count_request(5, 12);
-        engine.query(&a);
-        engine.query(&b); // evicts a
+        let (a, b) = ((blowup(4), 10), (blowup(5), 12));
+        engine.count_exact(&a).unwrap();
+        engine.count_exact(&b).unwrap(); // evicts a
         assert_eq!(engine.stats().entries, 1);
         assert!(engine.stats().evictions >= 1);
-        let again = engine.query(&a); // must be a fresh miss
-        assert!(!again.cache_hit, "evicted instance cannot hit");
+        let again = engine.prepare(&a); // must be a fresh miss
+        assert!(!again.was_cached(), "evicted instance cannot hit");
         // A generous cap keeps both.
         let engine = Engine::with_defaults();
-        engine.query(&a);
-        engine.query(&b);
+        engine.count_exact(&a).unwrap();
+        engine.count_exact(&b).unwrap();
         assert_eq!(engine.stats().entries, 2);
-        assert!(engine.query(&a).cache_hit);
+        assert!(engine.prepare(&a).was_cached());
         assert_eq!(engine.stats().evictions, 0);
     }
 
     #[test]
     fn byte_accounting_tracks_materialized_tables() {
         let engine = Engine::with_defaults();
-        let r = exact_count_request(6, 20);
-        engine.prepared(&target_nfa(&r), target_length(&r)); // lazy insert
+        let handle = engine.prepare_nfa(&blowup(6), 20); // lazy insert
         let before = engine.stats().bytes;
-        engine.query(&r); // materializes the DAG + completion table
+        engine.count_exact_on(&handle).unwrap(); // materializes the DAG + completion table
         assert!(
             engine.stats().bytes > before,
-            "post-query refresh must record the grown tables"
+            "the settle after the query must record the grown tables"
         );
+        // The typed entry settles too, without an extra resolution.
+        let engine = Engine::with_defaults();
+        let before = engine.stats().bytes;
+        engine.count_exact(&(blowup(6), 20usize)).unwrap();
+        assert!(engine.stats().bytes > before);
+        assert_eq!(engine.stats().hits + engine.stats().misses, 1);
+        assert_eq!(engine.stats().bytes, engine.measured_bytes());
     }
 
     #[test]
     fn directly_held_arcs_are_accounted_on_next_touch() {
         // Tables materialized through an Arc from Engine::prepared (the
-        // app-crate usage path) bypass query_batch's refresh; the next cache
-        // touch must pick the growth up.
+        // app-crate usage path) bypass the query entries' settle; the next
+        // cache touch must pick the growth up.
         let engine = Engine::with_defaults();
-        let r = exact_count_request(6, 20);
-        let inst = engine.prepared(&target_nfa(&r), target_length(&r));
+        let nfa = blowup(6);
+        let inst = engine.prepared(&nfa, 20);
         let before = engine.stats().bytes;
         let _ = inst.count_exact().unwrap();
-        let _ = engine.prepared(&target_nfa(&r), target_length(&r));
+        let _ = engine.prepared(&nfa, 20);
         assert!(
             engine.stats().bytes > before,
             "hit-path re-measure must record tables built through the Arc"
@@ -1044,14 +872,12 @@ mod tests {
             }
         };
         let gap = Arc::new(ambiguity_gap_nfa(4));
-        let sample =
-            |h: &InstanceHandle, seed| QueryRequest::on(h, QueryKind::Sample { count: 8 }, seed);
         let engine = Engine::new(fpras_route(EngineConfig::default().cache_bytes));
         let handle = engine.prepare_nfa(&gap, 10);
-        engine.query(&QueryRequest::on(&handle, QueryKind::Count, 0)); // builds the sketch
+        engine.count_on(&handle).unwrap(); // builds the sketch
         let (inst_before, engine_before) = (handle.instance().approx_bytes(), engine.stats().bytes);
         for seed in 0..4 {
-            assert!(engine.query(&sample(&handle, seed)).output.is_ok());
+            assert!(engine.sample_on(&handle, seed, 8).is_ok());
         }
         assert!(handle.instance().approx_bytes() > inst_before);
         assert!(engine.stats().bytes > engine_before);
@@ -1060,35 +886,28 @@ mod tests {
         // and its memo leaves the byte total with it.
         let engine = Engine::new(fpras_route(1));
         let handle = engine.prepare_nfa(&gap, 10);
-        assert!(engine.query(&sample(&handle, 1)).output.is_ok());
+        assert!(engine.sample_on(&handle, 1, 8).is_ok());
         let sketch = handle.instance().sketch_snapshot().expect("sketch built").1;
         assert!(
             sketch.retained_memo_bytes() > 0,
             "the sample retained a memo"
         );
-        let other = engine.prepare_nfa(&Arc::new(blowup_nfa(4)), 10);
+        let other = engine.prepare_nfa(&blowup(4), 10);
         let stats = engine.stats();
         assert_eq!((stats.entries, stats.evictions), (1, 1));
         assert_eq!(stats.bytes, other.instance().approx_bytes());
     }
 
     #[test]
-    fn batch_marks_duplicate_instances_as_hits() {
-        // The regression pin for intra-batch duplicate semantics (see the
-        // `QueryResponse` docs): flags and stats follow resolution order.
+    fn duplicate_instances_count_as_hits() {
+        // Flags and stats follow resolution order: `k` resolutions of one
+        // instance are 1 miss + (k − 1) hits.
         let engine = Engine::with_defaults();
-        let reqs = vec![
-            exact_count_request(4, 10),
-            exact_count_request(5, 10),
-            exact_count_request(4, 10), // same instance as #0
-            exact_count_request(4, 10), // and again
-            exact_count_request(5, 10), // same instance as #1
-        ];
-        let responses = engine.query_batch(&reqs);
-        assert_eq!(
-            responses.iter().map(|r| r.cache_hit).collect::<Vec<_>>(),
-            vec![false, false, true, true, true]
-        );
+        let hits: Vec<bool> = [4, 5, 4, 4, 5]
+            .into_iter()
+            .map(|k| engine.prepare_nfa(&blowup(k), 10).was_cached())
+            .collect();
+        assert_eq!(hits, vec![false, false, true, true, true]);
         let stats = engine.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.entries),
@@ -1100,20 +919,15 @@ mod tests {
     #[test]
     fn handle_requests_skip_resolution_and_report_hits() {
         let engine = Engine::with_defaults();
-        let nfa = Arc::new(blowup_nfa(4));
+        let nfa = blowup(4);
         let handle = engine.prepare_nfa(&nfa, 10);
         assert!(!handle.was_cached(), "first prepare is the miss");
         assert!(engine.prepare_nfa(&nfa, 10).was_cached());
-        let reqs = vec![
-            QueryRequest::on(&handle, QueryKind::CountExact, 0),
-            QueryRequest::on(&handle, QueryKind::Enumerate { limit: 4 }, 0),
-        ];
-        let responses = engine.query_batch(&reqs);
         assert!(
-            responses.iter().all(|r| r.cache_hit),
-            "handle requests are hits while the entry is cached"
+            engine.count_exact_on(&handle).unwrap().1 && engine.sample_on(&handle, 0, 4).unwrap().1,
+            "handle entries are hits while the entry is cached"
         );
-        // All resolutions point at the very Arc the handle pins.
+        // Every resolution points at the very Arc the handle pins.
         assert!(Arc::ptr_eq(handle.instance(), &engine.prepared(&nfa, 10)));
         let stats = engine.stats();
         assert_eq!((stats.hits, stats.misses), (4, 1));
@@ -1126,14 +940,11 @@ mod tests {
             ..EngineConfig::default()
         };
         let engine = Engine::new(config);
-        let a = Arc::new(blowup_nfa(4));
+        let a = blowup(4);
         let handle = engine.prepare_nfa(&a, 10);
-        engine.query(&exact_count_request(5, 12)); // evicts a's entry
-        let response = engine.query(&QueryRequest::on(&handle, QueryKind::CountExact, 0));
-        assert!(
-            !response.cache_hit,
-            "an evicted handle reports a miss on re-insert"
-        );
+        engine.count_exact(&(blowup(5), 12usize)).unwrap(); // evicts a's entry
+        let (_, cache_hit) = engine.count_exact_on(&handle).unwrap();
+        assert!(!cache_hit, "an evicted handle reports a miss on re-insert");
         // ...but the served instance is still the pinned artifact, not a
         // recompilation.
         assert!(Arc::ptr_eq(handle.instance(), &engine.prepared(&a, 10)));
@@ -1144,26 +955,10 @@ mod tests {
         let ab = Alphabet::binary();
         let nfa = Arc::new(Regex::parse("(0|1)*11(0|1)*", &ab).unwrap().compile());
         let engine = Engine::with_defaults();
-        let reqs = vec![
-            QueryRequest::automaton(nfa.clone(), 7, QueryKind::Count, 1),
-            QueryRequest::automaton(
-                nfa.clone(),
-                7,
-                QueryKind::Enumerate { limit: usize::MAX },
-                1,
-            ),
-            QueryRequest::automaton(nfa.clone(), 7, QueryKind::Sample { count: 5 }, 2),
-        ];
-        let responses = engine.query_batch(&reqs);
-        let Ok(QueryOutput::Count(count)) = &responses[0].output else {
-            panic!("count expected")
-        };
-        let Ok(QueryOutput::Words(words)) = &responses[1].output else {
-            panic!("words expected")
-        };
-        let Ok(QueryOutput::Words(samples)) = &responses[2].output else {
-            panic!("samples expected")
-        };
+        let handle = engine.prepare_nfa(&nfa, 7);
+        let (count, _) = engine.count_on(&handle).unwrap();
+        let words: Vec<Word> = engine.cursor(&handle).collect();
+        let (samples, _) = engine.sample_on(&handle, 2, 5).unwrap();
         // One instance resolved three times.
         assert_eq!(engine.stats().misses, 1);
         assert_eq!(engine.stats().hits, 2);
@@ -1171,16 +966,16 @@ mod tests {
             assert_eq!(words.len() as u64, exact.to_u64().unwrap());
         }
         for w in samples {
-            assert!(nfa.accepts(w));
+            assert!(nfa.accepts(&w));
         }
     }
 
     #[test]
     fn exact_count_on_ambiguous_reports_error() {
         let engine = Engine::with_defaults();
-        let r = QueryRequest::automaton(ambiguity_gap_nfa(3), 8, QueryKind::CountExact, 0);
+        let handle = engine.prepare_nfa(&Arc::new(ambiguity_gap_nfa(3)), 8);
         assert_eq!(
-            engine.query(&r).output.unwrap_err(),
+            engine.count_exact_on(&handle).unwrap_err(),
             QueryError::NotUnambiguous
         );
     }

@@ -264,9 +264,8 @@ pub struct WordCursor {
 
 impl WordCursor {
     /// A cursor positioned before the first witness. Chooses the
-    /// constant-delay route iff the instance is unambiguous — the same
-    /// routing the batch `Enumerate` kind uses, so cursor streams and batch
-    /// pages agree word for word.
+    /// constant-delay route iff the instance is unambiguous, the
+    /// polynomial-delay route otherwise.
     pub fn fresh(inst: Arc<PreparedInstance>) -> Self {
         let iter = match inst.enumerate_constant_delay() {
             Ok(e) => CursorIter::Constant(e),
@@ -305,6 +304,11 @@ impl WordCursor {
             CursorPos::Constant(decisions) => {
                 if !inst.is_unambiguous() {
                     return Err(bad("constant-delay token on an ambiguous instance"));
+                }
+                // A length-n path has at most n branching vertices: reject
+                // an oversized (untrusted) list before copying it.
+                if decisions.len() > inst.length() {
+                    return Err(bad("decision list does not describe a path"));
                 }
                 let e = ConstantDelayEnumerator::resume(inst.dag().clone(), decisions.clone())
                     .ok_or_else(|| bad("decision list does not describe a path"))?;

@@ -16,10 +16,11 @@
 //!   ([`Engine::count`], [`Engine::enumerate`], [`Engine::sample`]) serve
 //!   all of them from one shared cache, returning domain values instead of
 //!   raw words.
-//! * [`InstanceHandle`] / [`QueryTarget`] — the session layer:
-//!   [`Engine::prepare`] resolves a domain object to a cheap handle once,
-//!   and requests carry handles or `Arc`'d automata — no per-request
-//!   automaton copies anywhere.
+//! * [`InstanceHandle`] — the session layer: [`Engine::prepare`] resolves a
+//!   domain object to a cheap handle once, and the handle entries
+//!   ([`Engine::count_on`], [`Engine::count_exact_on`],
+//!   [`Engine::sample_on`]) answer the buffered verbs on it, settling the
+//!   byte cap after each — no per-request automaton copies anywhere.
 //! * [`EnumCursor`] / [`WordCursor`] / [`ResumeToken`] — streaming,
 //!   resumable `ENUM`: witnesses are produced per `next()` call (preserving
 //!   the paper's delay guarantees), and a cursor's position serializes to a
@@ -32,9 +33,7 @@
 //!   unrolled DAG, ambiguity classification, determinization probe, and the
 //!   lazily-materialized per-problem tables (exact DP counts, FPRAS sketch).
 //! * [`Engine`] — a fingerprint-keyed, byte-capped LRU cache of prepared
-//!   instances, the domain-session memo, and the batched [`QueryRequest`] /
-//!   [`QueryResponse`] compatibility API with deterministic multi-threaded
-//!   dispatch (rebuilt on top of the cursor surface).
+//!   instances and the domain-session memo.
 //! * [`ShardedEngine`] / [`ShardMap`] — N independent engines behind a
 //!   consistent-hash shard map, so cache resolution scales with cores: every
 //!   instance fingerprint routes to exactly one shard, shards can be added
@@ -56,10 +55,7 @@ mod router;
 mod shard;
 mod snapshot;
 
-pub use cache::{
-    Engine, EngineConfig, EngineStats, InstanceHandle, QueryError, QueryKind, QueryOutput,
-    QueryRequest, QueryResponse, QueryTarget,
-};
+pub use cache::{Engine, EngineConfig, EngineStats, InstanceHandle, QueryError};
 pub use cursor::{
     EnumCursor, GenStream, InvalidTokenError, ResumeToken, WordCursor, WordGenStream,
 };

@@ -47,7 +47,7 @@ use crate::sample::TableSampler;
 /// `COUNT` / `ENUM` / `GEN` from the shared artifact.
 ///
 /// All interior caches are [`OnceLock`]s, so a `PreparedInstance` is `Sync`
-/// and can serve concurrent requests (the engine's batched dispatch relies on
+/// and can serve concurrent requests (the server's worker pool relies on
 /// this); whichever request needs a table first materializes it, and every
 /// later request reads the same memory.
 pub struct PreparedInstance {

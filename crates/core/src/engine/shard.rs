@@ -38,12 +38,9 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use lsc_arith::BigNat;
-use lsc_automata::Nfa;
+use lsc_automata::{Nfa, Word};
 
-use crate::engine::cache::{
-    Engine, EngineConfig, EngineStats, InstanceHandle, QueryError, QueryKind, QueryRequest,
-    QueryResponse, QueryTarget,
-};
+use crate::engine::cache::{Engine, EngineConfig, EngineStats, InstanceHandle, QueryError};
 use crate::engine::cursor::{
     EnumCursor, GenStream, InvalidTokenError, ResumeToken, WordCursor, WordGenStream,
 };
@@ -259,7 +256,7 @@ fn stripe_slot() -> usize {
 /// N independent [`Engine`] shards fronted by a consistent-hash
 /// [`ShardMap`] — the drop-in, multi-core replacement for a single engine.
 /// See the module docs for the design; the API mirrors [`Engine`]'s
-/// session/typed/batch surface, with [`ShardedEngine::stats`] additionally
+/// session/typed/handle surface, with [`ShardedEngine::stats`] additionally
 /// reporting per-shard counters.
 ///
 /// ```
@@ -422,13 +419,10 @@ impl ShardedEngine {
         self.with_topology(|t| t.engine(t.map.shard_for(fingerprint)))
     }
 
-    fn shard_of_target(map: &ShardMap, target: &QueryTarget) -> usize {
-        match target {
-            QueryTarget::Automaton { nfa, length } => {
-                map.shard_for(PreparedInstance::instance_fingerprint(nfa, *length))
-            }
-            QueryTarget::Handle(handle) => map.shard_for(handle.fingerprint()),
-        }
+    /// The handle's home shard (handles pin the artifact, not the shard,
+    /// so this is looked up per call).
+    fn home(&self, handle: &InstanceHandle) -> Arc<Engine> {
+        self.engine_for(handle.fingerprint())
     }
 
     // ---- sessions ----
@@ -472,14 +466,7 @@ impl ShardedEngine {
     /// # Errors
     /// Propagates FPRAS failure events when the FPRAS route fires.
     pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
-        let handle = self.prepare(queryable);
-        match self
-            .query(&QueryRequest::on(&handle, QueryKind::Count, 0))
-            .output?
-        {
-            crate::engine::QueryOutput::Count(routed) => Ok(routed),
-            _ => unreachable!("Count returns Count"),
-        }
+        Ok(self.count_on(&self.prepare(queryable))?.0)
     }
 
     /// Exact `COUNT` on a domain object (see [`Engine::count_exact`]).
@@ -487,7 +474,8 @@ impl ShardedEngine {
     /// # Errors
     /// [`QueryError::NotUnambiguous`] on ambiguous instances.
     pub fn count_exact<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<BigNat, QueryError> {
-        Ok(self.prepare(queryable).instance().count_exact()?)
+        let handle = self.prepare(queryable);
+        self.home(&handle).exact(&handle)
     }
 
     /// Streaming `ENUM` on a domain object (see [`Engine::enumerate`]).
@@ -527,11 +515,50 @@ impl ShardedEngine {
         draw_seed: u64,
     ) -> Result<GenStream<'q, Q>, QueryError> {
         let handle = self.prepare(queryable);
-        let stream = self.gen_stream(&handle, draw_seed)?;
+        let stream = self.home(&handle).stream(&handle, draw_seed)?;
         Ok(GenStream::new(queryable, stream))
     }
 
-    // ---- word-level sessions ----
+    // ---- handle entries ----
+
+    /// Routed `COUNT` on a session handle, on its home shard (see
+    /// [`Engine::count_on`]).
+    ///
+    /// # Errors
+    /// Propagates FPRAS failure events when the FPRAS route fires.
+    pub fn count_on(&self, handle: &InstanceHandle) -> Result<(RoutedCount, bool), QueryError> {
+        self.home(handle).count_on(handle)
+    }
+
+    /// Exact `COUNT` on a session handle, on its home shard (see
+    /// [`Engine::count_exact_on`]).
+    ///
+    /// # Errors
+    /// [`QueryError::NotUnambiguous`] on ambiguous instances.
+    pub fn count_exact_on(&self, handle: &InstanceHandle) -> Result<(BigNat, bool), QueryError> {
+        self.home(handle).count_exact_on(handle)
+    }
+
+    /// The first `count` draws under `draw_seed`, on the handle's home
+    /// shard (see [`Engine::sample_on`]).
+    ///
+    /// # Errors
+    /// Propagates FPRAS failure events from the (cached) sketch build on
+    /// the ambiguous route.
+    pub fn sample_on(
+        &self,
+        handle: &InstanceHandle,
+        draw_seed: u64,
+        count: usize,
+    ) -> Result<(Vec<Word>, bool), QueryError> {
+        self.home(handle).sample_on(handle, draw_seed, count)
+    }
+
+    /// Settles the byte cap on the handle's home shard (see
+    /// [`Engine::settle`]).
+    pub fn settle(&self, handle: &InstanceHandle) {
+        self.home(handle).settle(handle)
+    }
 
     /// A raw-word cursor over a session handle (see [`Engine::cursor`]).
     pub fn cursor(&self, handle: &InstanceHandle) -> WordCursor {
@@ -563,74 +590,13 @@ impl ShardedEngine {
         handle: &InstanceHandle,
         draw_seed: u64,
     ) -> Result<WordGenStream, QueryError> {
-        self.engine_for(handle.fingerprint())
-            .gen_stream(handle, draw_seed)
+        self.home(handle).gen_stream(handle, draw_seed)
     }
 
-    // ---- batch ----
-
-    /// Answers one request on its home shard.
-    pub fn query(&self, request: &QueryRequest) -> QueryResponse {
-        self.query_batch(std::slice::from_ref(request))
-            .pop()
-            .expect("one response per request")
-    }
-
-    /// Answers a batch: requests are partitioned by home shard (preserving
-    /// each shard's subsequence order, so per-instance duplicate semantics
-    /// match the single engine exactly), shard batches execute concurrently,
-    /// and responses return in request order.
-    pub fn query_batch(&self, requests: &[QueryRequest]) -> Vec<QueryResponse> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let (engines, routes): (Vec<Arc<Engine>>, Vec<Vec<usize>>) =
-            self.with_topology(|topology| {
-                let mut by_shard: std::collections::BTreeMap<usize, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (i, request) in requests.iter().enumerate() {
-                    by_shard
-                        .entry(Self::shard_of_target(&topology.map, &request.target))
-                        .or_default()
-                        .push(i);
-                }
-                by_shard
-                    .into_iter()
-                    .map(|(shard, indices)| (topology.engine(shard), indices))
-                    .unzip()
-            });
-        let mut slots: Vec<Option<QueryResponse>> = (0..requests.len()).map(|_| None).collect();
-        if engines.len() == 1 {
-            // Single home shard: no fan-out thread needed.
-            for (slot, response) in engines[0].query_batch(requests).into_iter().enumerate() {
-                slots[routes[0][slot]] = Some(response);
-            }
-        } else {
-            let answered: Vec<Vec<QueryResponse>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = engines
-                    .iter()
-                    .zip(&routes)
-                    .map(|(engine, indices)| {
-                        let sub: Vec<QueryRequest> =
-                            indices.iter().map(|&i| requests[i].clone()).collect();
-                        scope.spawn(move || engine.query_batch(&sub))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard batch thread"))
-                    .collect()
-            });
-            for (indices, responses) in routes.iter().zip(answered) {
-                for (&i, response) in indices.iter().zip(responses) {
-                    slots[i] = Some(response);
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every request routed"))
-            .collect()
+    /// The bytes the live shards' residents measure right now.
+    #[cfg(test)]
+    pub(crate) fn measured_bytes(&self) -> usize {
+        self.with_topology(|t| t.live().map(|(_, e)| e.measured_bytes()).sum())
     }
 
     // ---- elasticity ----
@@ -762,25 +728,9 @@ mod tests {
         let single = Engine::with_defaults();
         let sharded = ShardedEngine::with_shards(4);
         for k in 3..6 {
-            let (nfa, n) = instance(k);
-            let a = single
-                .query(&QueryRequest::automaton(
-                    nfa.clone(),
-                    n,
-                    QueryKind::CountExact,
-                    0,
-                ))
-                .output
-                .unwrap();
-            let b = sharded
-                .query(&QueryRequest::automaton(nfa, n, QueryKind::CountExact, 0))
-                .output
-                .unwrap();
-            let (crate::engine::QueryOutput::Exact(a), crate::engine::QueryOutput::Exact(b)) =
-                (a, b)
-            else {
-                panic!("exact counts expected");
-            };
+            let instance = instance(k);
+            let a = single.count_exact(&instance).unwrap();
+            let b = sharded.count_exact(&instance).unwrap();
             assert_eq!(a, b);
         }
     }
@@ -810,25 +760,23 @@ mod tests {
     }
 
     #[test]
-    fn batches_preserve_order_and_duplicate_semantics() {
+    fn duplicates_hit_on_their_home_shard() {
         let sharded = ShardedEngine::with_shards(4);
         let (a, n) = instance(4);
         let (b, _) = instance(5);
-        let reqs = vec![
-            QueryRequest::automaton(a.clone(), n, QueryKind::CountExact, 0),
-            QueryRequest::automaton(b.clone(), n, QueryKind::CountExact, 0),
-            QueryRequest::automaton(a.clone(), n, QueryKind::CountExact, 0),
-            QueryRequest::automaton(b, n, QueryKind::CountExact, 0),
-            QueryRequest::automaton(a, n, QueryKind::CountExact, 0),
-        ];
-        let responses = sharded.query_batch(&reqs);
+        let hits: Vec<bool> = [&a, &b, &a, &b, &a]
+            .into_iter()
+            .map(|nfa| sharded.prepare_nfa(nfa, n).was_cached())
+            .collect();
         assert_eq!(
-            responses.iter().map(|r| r.cache_hit).collect::<Vec<_>>(),
+            hits,
             vec![false, false, true, true, true],
             "k duplicates = 1 miss + (k-1) hits, per instance, across shards"
         );
+        let handle = sharded.prepare_nfa(&a, n);
+        assert!(sharded.count_exact_on(&handle).unwrap().1);
         let stats = sharded.stats();
-        assert_eq!((stats.aggregate.hits, stats.aggregate.misses), (3, 2));
+        assert_eq!((stats.aggregate.hits, stats.aggregate.misses), (5, 2));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! |---------------|-------------------------------------|
 //! | `hello`       | — (version handshake)               |
 //! | `prepare`     | `Engine::prepare_nfa` (→ session)   |
-//! | `count`       | `QueryKind::Count` on the handle    |
-//! | `count_exact` | `QueryKind::CountExact`             |
-//! | `enumerate`   | `Engine::cursor` / `resume_cursor`  |
-//! | `sample`      | `QueryKind::Sample`                 |
+//! | `count`       | `Engine::count_on` the handle       |
+//! | `count_exact` | `Engine::count_exact_on`            |
+//! | `enumerate`   | `Engine::cursor` / `resume_cursor`, then `settle` |
+//! | `sample`      | `Engine::sample_on`                 |
 //! | `close`       | — (drops the session)               |
 //! | `stats`       | `ShardedEngine::stats` (aggregate + per-shard) + server counters |
 //! | `health`      | — (liveness/degradation probe: shard count, pool depth, snapshot-store status) |

@@ -33,9 +33,8 @@ use std::time::Duration;
 use lsc_automata::{format_word, Alphabet, Word};
 
 use crate::engine::{
-    CountRoute, EngineConfig, EngineStats, PreparedInstance, QueryError, QueryKind, QueryOutput,
-    QueryRequest, ResumeToken, ShardedConfig, ShardedEngine, SnapshotStore, SweepReport,
-    WarmReport,
+    CountRoute, EngineConfig, EngineStats, PreparedInstance, QueryError, ResumeToken,
+    ShardedConfig, ShardedEngine, SnapshotStore, SweepReport, WarmReport,
 };
 use crate::serve::conn::{serve_lines, spawn_acceptor, Reply, TcpServerHandle};
 use crate::serve::faults::{Fault, FaultPlan, FaultSite};
@@ -611,13 +610,8 @@ impl ServerInner {
             ]),
             Request::Prepare { spec, length } => self.op_prepare(conn, &spec, length),
             Request::Count { session } => self.with_session(conn, &session, |s, me| {
-                let response = me
-                    .engine
-                    .query(&QueryRequest::on(&s.handle, QueryKind::Count, 0));
-                let routed = match response.output.map_err(wire_query_error)? {
-                    QueryOutput::Count(routed) => routed,
-                    _ => unreachable!("Count returns Count"),
-                };
+                let (routed, cache_hit) =
+                    me.engine.count_on(&s.handle).map_err(wire_query_error)?;
                 me.maybe_snapshot(s.handle.instance());
                 let route = match routed.route {
                     CountRoute::ExactUnambiguous => "exact-unambiguous".to_string(),
@@ -637,21 +631,18 @@ impl ServerInner {
                 if let Some(exact) = &routed.exact {
                     fields.push(("count".to_string(), Json::str(exact.to_string())));
                 }
-                fields.push(("cache_hit".to_string(), Json::Bool(response.cache_hit)));
+                fields.push(("cache_hit".to_string(), Json::Bool(cache_hit)));
                 Ok(fields)
             }),
             Request::CountExact { session } => self.with_session(conn, &session, |s, me| {
-                let response =
-                    me.engine
-                        .query(&QueryRequest::on(&s.handle, QueryKind::CountExact, 0));
-                let count = match response.output.map_err(wire_query_error)? {
-                    QueryOutput::Exact(count) => count,
-                    _ => unreachable!("CountExact returns Exact"),
-                };
+                let (count, cache_hit) = me
+                    .engine
+                    .count_exact_on(&s.handle)
+                    .map_err(wire_query_error)?;
                 me.maybe_snapshot(s.handle.instance());
                 Ok(vec![
                     ("count".to_string(), Json::str(count.to_string())),
-                    ("cache_hit".to_string(), Json::Bool(response.cache_hit)),
+                    ("cache_hit".to_string(), Json::Bool(cache_hit)),
                 ])
             }),
             Request::Enumerate {
@@ -694,6 +685,7 @@ impl ServerInner {
                         ("done".to_string(), Json::Bool(cursor.is_done())),
                         ("token".to_string(), Json::str(cursor.token().encode())),
                     ];
+                    me.engine.settle(&s.handle);
                     me.maybe_snapshot(s.handle.instance());
                     s.cursor = Some(cursor);
                     Ok(fields)
@@ -706,20 +698,15 @@ impl ServerInner {
             } => {
                 self.check_batch_size("count", count)?;
                 self.with_session(conn, &session, |s, me| {
-                    let response = me.engine.query(&QueryRequest::on(
-                        &s.handle,
-                        QueryKind::Sample { count },
-                        seed,
-                    ));
-                    let words = match response.output.map_err(wire_query_error)? {
-                        QueryOutput::Words(words) => words,
-                        _ => unreachable!("Sample returns Words"),
-                    };
+                    let (words, cache_hit) = me
+                        .engine
+                        .sample_on(&s.handle, seed, count)
+                        .map_err(wire_query_error)?;
                     me.maybe_snapshot(s.handle.instance());
                     Ok(vec![
                         ("words".to_string(), format_words(&words, &s.alphabet)),
                         ("returned".to_string(), Json::num(words.len() as f64)),
-                        ("cache_hit".to_string(), Json::Bool(response.cache_hit)),
+                        ("cache_hit".to_string(), Json::Bool(cache_hit)),
                     ])
                 })
             }
@@ -1161,6 +1148,84 @@ mod tests {
         assert_eq!(engine.get("entries").and_then(Json::as_u64), Some(1));
         let srv = stats.get("server").unwrap();
         assert_eq!(srv.get("sessions_open").and_then(Json::as_u64), Some(1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn every_reply_leaves_the_byte_cap_settled() {
+        // FPRAS-route sessions (probe and classification off) under a cap
+        // that holds about one warm instance: every verb — paged
+        // `enumerate` included — must leave the accounting equal to what
+        // the residents measure, and the cap holding.
+        const CAP: usize = 96 << 10;
+        let server = Server::new(ServeConfig {
+            engine: EngineConfig {
+                cache_bytes: CAP,
+                router: crate::engine::RouterConfig {
+                    determinization_cap: 0,
+                    fpras: crate::fpras::FprasParams::quick(),
+                    classify_ambiguity: false,
+                },
+                ..EngineConfig::default()
+            },
+            shards: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let conn = server.open_conn();
+        let send = |line: String| {
+            let reply = json::parse(&server.handle_line(conn, &line).text).unwrap();
+            let stats = server.engine().stats().aggregate;
+            assert_eq!(
+                stats.bytes,
+                server.engine().measured_bytes(),
+                "after {line}: unsettled bytes"
+            );
+            assert!(
+                stats.bytes <= CAP || stats.entries == 1,
+                "after {line}: {} bytes in {} entries over the {CAP}-byte cap",
+                stats.bytes,
+                stats.entries
+            );
+            reply
+        };
+        let mut sessions = Vec::new();
+        for pattern in [
+            "(0|1)*1(0|1)*1(0|1)*",
+            "(0|1)*0(0|1)*0(0|1)*",
+            "(0|1)*10(0|1)*",
+        ] {
+            let prepared = send(format!(
+                r#"{{"op":"prepare","regex":"{pattern}","length":12}}"#
+            ));
+            sessions.push(
+                prepared
+                    .get("session")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+                    .to_string(),
+            );
+        }
+        for round in 0..2 {
+            for session in &sessions {
+                // Enumerate first: the page alone materializes tables.
+                for _ in 0..2 {
+                    send(format!(
+                        r#"{{"op":"enumerate","session":"{session}","page_size":3}}"#
+                    ));
+                }
+                send(format!(r#"{{"op":"count","session":"{session}"}}"#));
+                send(format!(r#"{{"op":"count_exact","session":"{session}"}}"#));
+                send(format!(
+                    r#"{{"op":"sample","session":"{session}","count":4,"seed":{round}}}"#
+                ));
+            }
+        }
+        assert!(
+            server.engine().stats().aggregate.evictions > 0,
+            "the cap bit"
+        );
         server.shutdown();
     }
 }

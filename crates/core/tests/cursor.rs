@@ -1,6 +1,6 @@
 //! Cursor-resumption contract tests: `resume(token)`-stitched pages must be
 //! bit-identical — order and content — to one uninterrupted enumeration, on
-//! every NFA family, at every page size, at every engine thread count; and a
+//! every NFA family, at every page size; and a
 //! cursor must yield its first witness without materializing the result set
 //! (the delay guarantee a streaming `ENUM` API exists to preserve).
 
@@ -11,7 +11,7 @@ use lsc_automata::families::{
 };
 use lsc_automata::regex::Regex;
 use lsc_automata::{Alphabet, Nfa, Word};
-use lsc_core::engine::{Engine, EngineConfig, QueryKind, QueryRequest, ResumeToken};
+use lsc_core::engine::{Engine, ResumeToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,17 +33,14 @@ fn family(index: usize, seed: u64) -> (Nfa, usize) {
 }
 
 /// Stitches an enumeration out of `page_size`-sized pages, crossing every
-/// boundary through an encoded-and-reparsed token and a fresh engine of the
-/// given thread count — as a paging client spread across processes would.
-fn stitch(nfa: &Arc<Nfa>, n: usize, page_size: usize, threads: usize) -> Vec<Word> {
+/// boundary through an encoded-and-reparsed token and a fresh engine — as
+/// a paging client spread across processes would.
+fn stitch(nfa: &Arc<Nfa>, n: usize, page_size: usize) -> Vec<Word> {
     let instance = (nfa.clone(), n);
     let mut stitched: Vec<Word> = Vec::new();
     let mut token: Option<ResumeToken> = None;
     loop {
-        let engine = Engine::new(EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        });
+        let engine = Engine::with_defaults();
         let mut cursor = match &token {
             None => engine.enumerate(&instance),
             Some(t) => {
@@ -65,38 +62,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Stitched pages == one uninterrupted enumeration, across families ×
-    /// page sizes × engine thread counts.
+    /// page sizes.
     #[test]
     fn stitched_pages_match_uninterrupted(index in 0usize..6, seed in 0u64..200, page in 1usize..9) {
         let (nfa, n) = family(index, seed);
         let nfa = Arc::new(nfa);
         let uninterrupted: Vec<Word> = Engine::with_defaults().enumerate(&(nfa.clone(), n)).collect();
-        for threads in [1usize, 2, 4] {
-            let stitched = stitch(&nfa, n, page, threads);
-            prop_assert_eq!(
-                &stitched, &uninterrupted,
-                "family {} seed {} page {} threads {}", index, seed, page, threads
-            );
-        }
+        let stitched = stitch(&nfa, n, page);
+        prop_assert_eq!(
+            &stitched, &uninterrupted,
+            "family {} seed {} page {}", index, seed, page
+        );
     }
 
-    /// Cursor streams agree with the batch `Enumerate` kind (the
-    /// compatibility layer rides on the cursor surface, so a divergence here
-    /// means the layers disagree on routing).
+    /// Typed cursor streams agree with the raw-word cursor on a session
+    /// handle (the server pages through the latter, so a divergence here
+    /// means the two surfaces disagree on routing).
     #[test]
-    fn cursor_agrees_with_batch_enumerate(index in 0usize..6, seed in 0u64..200) {
+    fn typed_cursor_agrees_with_word_cursor(index in 0usize..6, seed in 0u64..200) {
         let (nfa, n) = family(index, seed);
         let nfa = Arc::new(nfa);
         let engine = Engine::with_defaults();
         let streamed: Vec<Word> = engine.enumerate(&(nfa.clone(), n)).collect();
-        let request = QueryRequest::automaton(
-            nfa.clone(), n, QueryKind::Enumerate { limit: usize::MAX }, 0,
-        );
-        let response = engine.query(&request);
-        let Ok(lsc_core::engine::QueryOutput::Words(batched)) = response.output else {
-            panic!("enumeration failed");
-        };
-        prop_assert_eq!(streamed, batched);
+        let raw: Vec<Word> = engine.cursor(&engine.prepare_nfa(&nfa, n)).collect();
+        prop_assert_eq!(streamed, raw);
     }
 }
 

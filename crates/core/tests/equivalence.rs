@@ -9,16 +9,13 @@
 //! scan, no memoization), at every thread count. The same contract extends to
 //! the engine: warm (cached) answers must be bit-identical to cold one-shot
 //! answers for `COUNT` (exact and FPRAS), `ENUM` order, and `GEN` witness
-//! streams, at every batch thread count. These tests pin both contracts
-//! across several NFA families.
+//! streams. These tests pin both contracts across several NFA families.
 
 use lsc_arith::BigFloat;
 use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa, universal_nfa};
 use lsc_automata::regex::Regex;
 use lsc_automata::{Alphabet, Nfa, Word};
-use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, RouterConfig,
-};
+use lsc_core::engine::{Engine, EngineConfig, QueryError, RoutedCount, RouterConfig};
 use lsc_core::fpras::{run_fpras, FprasParams, FprasState, SharedWitnessSampler};
 use lsc_core::MemNfa;
 use rand::rngs::StdRng;
@@ -276,7 +273,7 @@ fn sketch_builds_with_and_without_weight_memo_agree() {
 /// The engine configuration the equivalence contract is checked under: the
 /// determinization probe disabled so ambiguous families genuinely exercise
 /// the cached FPRAS sketch, and a small `k` so real sampling happens.
-fn engine_config(threads: usize) -> EngineConfig {
+fn engine_config() -> EngineConfig {
     let mut fpras = FprasParams::quick();
     fpras.k = 16;
     EngineConfig {
@@ -285,32 +282,62 @@ fn engine_config(threads: usize) -> EngineConfig {
             fpras,
             classify_ambiguity: false,
         },
-        threads,
         ..EngineConfig::default()
     }
 }
 
-/// One COUNT + one ENUM + one GEN request per family, with fixed per-request
-/// seeds.
-fn engine_requests(nfa: &Nfa, n: usize) -> Vec<QueryRequest> {
-    let nfa = std::sync::Arc::new(nfa.clone());
-    vec![
-        QueryRequest::automaton(nfa.clone(), n, QueryKind::Count, 0xC0),
-        QueryRequest::automaton(
-            nfa.clone(),
-            n,
-            QueryKind::Enumerate { limit: usize::MAX },
-            0xC1,
-        ),
-        QueryRequest::automaton(nfa, n, QueryKind::Sample { count: 25 }, 0xC2),
-    ]
+/// One question to the engine: the paper's three problems, `GEN` with its
+/// own seed.
+#[derive(Clone, Copy)]
+enum Ask {
+    Count,
+    Enumerate,
+    Sample { count: usize, seed: u64 },
 }
 
-/// Bit-level equality of two query responses' outputs (`cache_hit` flags are
+/// One COUNT + one ENUM + one GEN request per family, with a fixed seed.
+const ASKS: [Ask; 3] = [
+    Ask::Count,
+    Ask::Enumerate,
+    Ask::Sample {
+        count: 25,
+        seed: 0xC2,
+    },
+];
+
+/// One engine answer and whether its instance was already cached.
+struct Answered {
+    output: Result<Answer, QueryError>,
+    cache_hit: bool,
+}
+
+enum Answer {
+    Count(RoutedCount),
+    Words(Vec<Word>),
+}
+
+/// Answers one ask on a freshly resolved handle: COUNT and GEN through the
+/// handle entries, ENUM through a full cursor.
+fn answer(engine: &Engine, nfa: &Arc<Nfa>, n: usize, ask: Ask) -> Answered {
+    let handle = engine.prepare_nfa(nfa, n);
+    let output = match ask {
+        Ask::Count => engine.count_on(&handle).map(|(c, _)| Answer::Count(c)),
+        Ask::Enumerate => Ok(Answer::Words(engine.cursor(&handle).collect())),
+        Ask::Sample { count, seed } => engine
+            .sample_on(&handle, seed, count)
+            .map(|(words, _)| Answer::Words(words)),
+    };
+    Answered {
+        output,
+        cache_hit: handle.was_cached(),
+    }
+}
+
+/// Bit-level equality of two answers' outputs (`cache_hit` flags are
 /// allowed to differ — warm vs cold is the point).
-fn assert_same_output(context: &str, a: &QueryResponse, b: &QueryResponse) {
+fn assert_same_output(context: &str, a: &Answered, b: &Answered) {
     match (&a.output, &b.output) {
-        (Ok(QueryOutput::Count(x)), Ok(QueryOutput::Count(y))) => {
+        (Ok(Answer::Count(x)), Ok(Answer::Count(y))) => {
             assert_eq!(x.route, y.route, "{context}: route diverged");
             assert_eq!(x.exact, y.exact, "{context}: exact count diverged");
             assert!(
@@ -320,10 +347,7 @@ fn assert_same_output(context: &str, a: &QueryResponse, b: &QueryResponse) {
                 y.estimate
             );
         }
-        (Ok(QueryOutput::Exact(x)), Ok(QueryOutput::Exact(y))) => {
-            assert_eq!(x, y, "{context}: exact count diverged");
-        }
-        (Ok(QueryOutput::Words(x)), Ok(QueryOutput::Words(y))) => {
+        (Ok(Answer::Words(x)), Ok(Answer::Words(y))) => {
             assert_eq!(x, y, "{context}: witness stream diverged");
         }
         (Err(x), Err(y)) => assert_eq!(x, y, "{context}: errors diverged"),
@@ -333,30 +357,28 @@ fn assert_same_output(context: &str, a: &QueryResponse, b: &QueryResponse) {
 
 /// Warm (cached) engine answers are bit-identical to cold one-shot answers —
 /// COUNT (exact route on UFA families, FPRAS route on ambiguous ones), ENUM
-/// order, and GEN witness streams — at 1, 2, and 4 batch threads.
+/// order, and GEN witness streams.
 #[test]
-fn engine_warm_answers_bit_identical_to_cold_at_any_thread_count() {
+fn engine_warm_answers_bit_identical_to_cold() {
     for (name, nfa, n) in families() {
-        let requests = engine_requests(&nfa, n);
-        // Cold reference: a fresh engine per request, single-threaded.
-        let cold: Vec<QueryResponse> = requests
+        let nfa = Arc::new(nfa);
+        // Cold reference: a fresh engine per request.
+        let cold: Vec<Answered> = ASKS
             .iter()
-            .map(|r| Engine::new(engine_config(1)).query(r))
+            .map(|&ask| answer(&Engine::new(engine_config()), &nfa, n, ask))
             .collect();
-        for threads in [1usize, 2, 4] {
-            let engine = Engine::new(engine_config(threads));
-            let first = engine.query_batch(&requests);
-            let warm = engine.query_batch(&requests);
-            for (i, ((c, f), w)) in cold.iter().zip(&first).zip(&warm).enumerate() {
-                let ctx = format!("{name}/threads={threads}/request={i}");
-                assert_same_output(&format!("{ctx}/first"), c, f);
-                assert_same_output(&format!("{ctx}/warm"), c, w);
-            }
-            assert!(
-                warm.iter().all(|r| r.cache_hit),
-                "{name}/threads={threads}: second batch must be fully warm"
-            );
+        let engine = Engine::new(engine_config());
+        let first: Vec<Answered> = ASKS.iter().map(|&a| answer(&engine, &nfa, n, a)).collect();
+        let warm: Vec<Answered> = ASKS.iter().map(|&a| answer(&engine, &nfa, n, a)).collect();
+        for (i, ((c, f), w)) in cold.iter().zip(&first).zip(&warm).enumerate() {
+            let ctx = format!("{name}/request={i}");
+            assert_same_output(&format!("{ctx}/first"), c, f);
+            assert_same_output(&format!("{ctx}/warm"), c, w);
         }
+        assert!(
+            warm.iter().all(|r| r.cache_hit),
+            "{name}: second pass must be fully warm"
+        );
     }
 }
 
@@ -365,15 +387,11 @@ fn engine_warm_answers_bit_identical_to_cold_at_any_thread_count() {
 #[test]
 fn engine_agrees_with_memnfa_toolbox() {
     for (name, nfa, n) in families() {
-        let engine = Engine::new(engine_config(1));
+        let engine = Engine::new(engine_config());
         let inst = MemNfa::new(nfa.clone(), n);
-        let count = engine.query(&QueryRequest::automaton(
-            nfa.clone(),
-            n,
-            QueryKind::Count,
-            1,
-        ));
-        if let Ok(QueryOutput::Count(routed)) = &count.output {
+        let nfa = Arc::new(nfa);
+        let count = answer(&engine, &nfa, n, Ask::Count);
+        if let Ok(Answer::Count(routed)) = &count.output {
             if let Some(exact) = &routed.exact {
                 assert_eq!(
                     *exact,
@@ -384,13 +402,8 @@ fn engine_agrees_with_memnfa_toolbox() {
         } else {
             panic!("{name}: count failed");
         }
-        let enumerated = engine.query(&QueryRequest::automaton(
-            nfa.clone(),
-            n,
-            QueryKind::Enumerate { limit: usize::MAX },
-            2,
-        ));
-        let Ok(QueryOutput::Words(words)) = &enumerated.output else {
+        let enumerated = answer(&engine, &nfa, n, Ask::Enumerate);
+        let Ok(Answer::Words(words)) = &enumerated.output else {
             panic!("{name}: enumeration failed");
         };
         let direct: Vec<_> = if inst.is_unambiguous() {
@@ -407,15 +420,20 @@ fn engine_agrees_with_memnfa_toolbox() {
 #[test]
 fn engine_witness_streams_reproduce_across_engines() {
     for (name, nfa, n) in families() {
-        let request =
-            QueryRequest::automaton(nfa.clone(), n, QueryKind::Sample { count: 40 }, 0xFEED);
-        let a = Engine::new(engine_config(1)).query(&request);
-        let engine = Engine::new(engine_config(2));
+        let nfa = Arc::new(nfa);
+        let ask = Ask::Sample {
+            count: 40,
+            seed: 0xFEED,
+        };
+        let a = answer(&Engine::new(engine_config()), &nfa, n, ask);
+        let engine = Engine::new(engine_config());
         // Warm the instance through other kinds first, then sample.
-        engine.query_batch(&engine_requests(&nfa, n));
-        let b = engine.query(&request);
+        for other in ASKS {
+            answer(&engine, &nfa, n, other);
+        }
+        let b = answer(&engine, &nfa, n, ask);
         assert_same_output(&format!("{name}/gen-stream"), &a, &b);
-        let Ok(QueryOutput::Words(words)) = &a.output else {
+        let Ok(Answer::Words(words)) = &a.output else {
             panic!("{name}: sampling failed");
         };
         for w in words {

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, Alphabet, Nfa, Word};
-use lsc_core::engine::{Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, RouterConfig};
+use lsc_core::engine::{Engine, EngineConfig, RouterConfig};
 use lsc_core::serve::json::{self, Json};
 use lsc_core::serve::{ServeConfig, Server};
 
@@ -144,27 +144,9 @@ fn expected_for(engine: &Engine, pattern: &str, length: usize, seed: u64) -> Exp
     let ab = Alphabet::binary();
     let nfa: Arc<Nfa> = Arc::new(Regex::parse(pattern, &ab).unwrap().compile());
     let handle = engine.prepare_nfa(&nfa, length);
-    let count = match engine
-        .query(&QueryRequest::on(&handle, QueryKind::Count, 0))
-        .output
-        .unwrap()
-    {
-        QueryOutput::Count(routed) => routed,
-        _ => unreachable!(),
-    };
+    let (count, _) = engine.count_on(&handle).unwrap();
     let words: Vec<Word> = engine.cursor(&handle).collect();
-    let samples: Vec<Word> = match engine
-        .query(&QueryRequest::on(
-            &handle,
-            QueryKind::Sample { count: 5 },
-            seed,
-        ))
-        .output
-        .unwrap()
-    {
-        QueryOutput::Words(words) => words,
-        _ => unreachable!(),
-    };
+    let (samples, _) = engine.sample_on(&handle, seed, 5).unwrap();
     Expected {
         count_estimate: count.estimate.to_string(),
         count_exact: count.exact.as_ref().map(|c| c.to_string()),

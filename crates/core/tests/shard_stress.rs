@@ -34,14 +34,15 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
+use lsc_arith::BigNat;
 use lsc_automata::families::{
     ambiguity_gap_nfa, blowup_nfa, random_nfa, random_ufa, universal_nfa,
 };
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, Alphabet, Nfa, Word};
 use lsc_core::engine::{
-    Engine, EngineConfig, QueryKind, QueryOutput, QueryRequest, QueryResponse, ResumeToken,
-    RouterConfig, ShardedConfig, ShardedEngine, WordCursor,
+    Engine, EngineConfig, InstanceHandle, QueryError, ResumeToken, RoutedCount, RouterConfig,
+    ShardedConfig, ShardedEngine, WordCursor,
 };
 use lsc_core::fpras::FprasParams;
 use rand::rngs::StdRng;
@@ -171,48 +172,57 @@ fn op_log(ops: usize, num_instances: usize, master_seed: u64) -> Vec<Op> {
 
 /// The engine surface the harness drives — implemented by both the single
 /// engine (serial reference) and the sharded engine (system under test),
-/// so one executor serves both executions.
+/// so one executor serves both executions. Every op resolves its instance
+/// to a session handle first, then answers on it.
 trait Resolver: Sync {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse;
-    fn page_cursor(&self, nfa: &Arc<Nfa>, length: usize, token: Option<&ResumeToken>)
-        -> WordCursor;
+    fn handle(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle;
+    fn count(&self, handle: &InstanceHandle) -> Result<RoutedCount, QueryError>;
+    fn count_exact(&self, handle: &InstanceHandle) -> Result<BigNat, QueryError>;
+    fn sample(
+        &self,
+        handle: &InstanceHandle,
+        seed: u64,
+        count: usize,
+    ) -> Result<Vec<Word>, QueryError>;
+    fn page_cursor(&self, handle: &InstanceHandle, token: Option<&ResumeToken>) -> WordCursor;
 }
 
-impl Resolver for Engine {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse {
-        self.query(request)
-    }
-    fn page_cursor(
-        &self,
-        nfa: &Arc<Nfa>,
-        length: usize,
-        token: Option<&ResumeToken>,
-    ) -> WordCursor {
-        let handle = self.prepare_nfa(nfa, length);
-        match token {
-            None => self.cursor(&handle),
-            Some(token) => self.resume_cursor(&handle, token).expect("own token"),
+macro_rules! resolver {
+    ($engine:ty) => {
+        impl Resolver for $engine {
+            fn handle(&self, nfa: &Arc<Nfa>, length: usize) -> InstanceHandle {
+                self.prepare_nfa(nfa, length)
+            }
+            fn count(&self, handle: &InstanceHandle) -> Result<RoutedCount, QueryError> {
+                Ok(self.count_on(handle)?.0)
+            }
+            fn count_exact(&self, handle: &InstanceHandle) -> Result<BigNat, QueryError> {
+                Ok(self.count_exact_on(handle)?.0)
+            }
+            fn sample(
+                &self,
+                handle: &InstanceHandle,
+                seed: u64,
+                count: usize,
+            ) -> Result<Vec<Word>, QueryError> {
+                Ok(self.sample_on(handle, seed, count)?.0)
+            }
+            fn page_cursor(
+                &self,
+                handle: &InstanceHandle,
+                token: Option<&ResumeToken>,
+            ) -> WordCursor {
+                match token {
+                    None => self.cursor(handle),
+                    Some(token) => self.resume_cursor(handle, token).expect("own token"),
+                }
+            }
         }
-    }
+    };
 }
 
-impl Resolver for ShardedEngine {
-    fn answer(&self, request: &QueryRequest) -> QueryResponse {
-        self.query(request)
-    }
-    fn page_cursor(
-        &self,
-        nfa: &Arc<Nfa>,
-        length: usize,
-        token: Option<&ResumeToken>,
-    ) -> WordCursor {
-        let handle = self.prepare_nfa(nfa, length);
-        match token {
-            None => self.cursor(&handle),
-            Some(token) => self.resume_cursor(&handle, token).expect("own token"),
-        }
-    }
-}
+resolver!(Engine);
+resolver!(ShardedEngine);
 
 /// Per-instance enumeration chain: which page runs next, and the token the
 /// previous page published. The condvar is the cross-thread sequence latch.
@@ -268,41 +278,24 @@ fn run_op<R: Resolver + ?Sized>(
     let ab = Alphabet::binary();
     let (nfa, n) = &zoo[op.instance];
     match op.kind {
-        OpKind::Count => {
-            let response = resolver.answer(&QueryRequest::automaton(
-                nfa.clone(),
-                *n,
-                QueryKind::Count,
-                0,
-            ));
-            match response.output {
-                Ok(QueryOutput::Count(routed)) => format!(
-                    "count route={:?} exact={:?} estimate={}",
-                    routed.route,
-                    routed.exact.as_ref().map(|c| c.to_string()),
-                    routed.estimate
-                ),
-                Ok(_) => unreachable!("Count returns Count"),
-                Err(e) => format!("count err={e}"),
-            }
-        }
-        OpKind::CountExact => {
-            let response = resolver.answer(&QueryRequest::automaton(
-                nfa.clone(),
-                *n,
-                QueryKind::CountExact,
-                0,
-            ));
-            match response.output {
-                Ok(QueryOutput::Exact(count)) => format!("exact {count}"),
-                Ok(_) => unreachable!("CountExact returns Exact"),
-                Err(e) => format!("exact err={e}"),
-            }
-        }
+        OpKind::Count => match resolver.count(&resolver.handle(nfa, *n)) {
+            Ok(routed) => format!(
+                "count route={:?} exact={:?} estimate={}",
+                routed.route,
+                routed.exact.as_ref().map(|c| c.to_string()),
+                routed.estimate
+            ),
+            Err(e) => format!("count err={e}"),
+        },
+        OpKind::CountExact => match resolver.count_exact(&resolver.handle(nfa, *n)) {
+            Ok(count) => format!("exact {count}"),
+            Err(e) => format!("exact err={e}"),
+        },
         OpKind::EnumeratePage { page, seq } => {
             let token = chain.claim(op.instance, seq);
             let token = token.map(|t| ResumeToken::parse(&t).expect("published token parses"));
-            let mut cursor = resolver.page_cursor(nfa, *n, token.as_ref());
+            let handle = resolver.handle(nfa, *n);
+            let mut cursor = resolver.page_cursor(&handle, token.as_ref());
             let words: Vec<Word> = cursor.by_ref().take(page).collect();
             let out = format!(
                 "page#{seq} rank={} done={} [{}]",
@@ -314,15 +307,8 @@ fn run_op<R: Resolver + ?Sized>(
             out
         }
         OpKind::Sample { count, seed } => {
-            let response = resolver.answer(&QueryRequest::automaton(
-                nfa.clone(),
-                *n,
-                QueryKind::Sample { count },
-                seed,
-            ));
-            match response.output {
-                Ok(QueryOutput::Words(words)) => format!("gen [{}]", words_line(&words, &ab)),
-                Ok(_) => unreachable!("Sample returns Words"),
+            match resolver.sample(&resolver.handle(nfa, *n), seed, count) {
+                Ok(words) => format!("gen [{}]", words_line(&words, &ab)),
                 Err(e) => format!("gen err={e}"),
             }
         }

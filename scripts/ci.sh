@@ -43,6 +43,14 @@ STDIO_OUT="$(printf '%s\n' \
 echo "$STDIO_OUT" | grep -q '"count":"16"'
 echo "stdio smoke: ok"
 
+echo "== CLI golden: nfa_tool batch =="
+# Every line but the final `# cache:` summary, whose byte figure moves
+# with table layout and whose shard count follows the host's cores.
+diff <(grep -v '^# cache:' tests/golden/nfa_tool_batch.out) \
+  <(./target/release/nfa_tool batch --file tests/golden/nfa_tool_batch.queries \
+      --page-size 4 | grep -v '^# cache:')
+echo "CLI golden: ok"
+
 echo "== router e2e smoke: nfa_tool route over two nfa_tool serve nodes =="
 ROUTE_DIR="$(mktemp -d)"
 trap 'rm -rf "$ROUTE_DIR"' EXIT

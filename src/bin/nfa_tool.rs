@@ -11,8 +11,8 @@
 //! nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]
 //! nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT]
 //!                    [--snapshot-dirs D1,D2[,...]] [--retries R]
-//! nfa-tool batch     [--file QUERIES.txt] [--threads T] [--shards S] [--cache-mb M]
-//!                    [--seed S] [--page-size P]
+//! nfa-tool batch     [--file QUERIES.txt] [--shards S] [--cache-mb M] [--seed S]
+//!                    [--page-size P]
 //! nfa-tool serve     [--port P | --stdio true] [--workers W] [--queue N]
 //!                    [--deadline-ms D] [--session-ttl-ms T] [--io-timeout-ms T]
 //!                    [--snapshot-dir DIR] [--cache-mb M] [--seed S] [--shards S]
@@ -50,10 +50,11 @@
 //! engine ([`lsc_core::engine::ShardedEngine`]; `--shards`, default one
 //! per core) using the session flow: each query line is
 //! resolved to an [`InstanceHandle`] first (repeated patterns hit the
-//! instance cache instead of recompiling), `count`/`sample` lines are
-//! answered through one handle-based `query_batch`, and `enumerate` lines
-//! stream through a cursor with per-page progress (page size `--page-size`,
-//! default 100) and a printed resume token per page. Queries are read from
+//! instance cache instead of recompiling), then the lines are answered one
+//! by one on their handles — `count`/`count-exact`/`sample` through the
+//! same handle methods the server uses, `enumerate` through a cursor with
+//! per-page progress (page size `--page-size`, default 100) and a printed
+//! resume token per page. Queries are read from
 //! `--file` (or stdin), one per line:
 //!
 //! ```text
@@ -102,8 +103,8 @@ use lsc_automata::ops::{ambiguity_degree, AmbiguityDegree};
 use lsc_automata::regex::Regex;
 use lsc_automata::{format_word, io, Alphabet, Nfa};
 use lsc_core::engine::{
-    count_routed, CountRoute, EngineConfig, InstanceHandle, QueryKind, QueryOutput, QueryRequest,
-    ResumeToken, RouterConfig, ShardedConfig, ShardedEngine, WordCursor,
+    count_routed, CountRoute, EngineConfig, InstanceHandle, ResumeToken, RouterConfig,
+    ShardedConfig, ShardedEngine, WordCursor,
 };
 use lsc_core::fpras::FprasParams;
 use lsc_core::sample::GenOutcome;
@@ -163,7 +164,7 @@ fn usage(msg: &str) -> ! {
            nfa-tool classify  (--regex PAT | --file NFA.txt)\n  \
            nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]\n  \
            nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT] [--snapshot-dirs D1,D2[,...]] [--retries R]\n  \
-           nfa-tool batch     [--file QUERIES.txt] [--threads T] [--shards S] [--cache-mb M] [--seed S] [--page-size P]\n  \
+           nfa-tool batch     [--file QUERIES.txt] [--shards S] [--cache-mb M] [--seed S] [--page-size P]\n  \
            nfa-tool serve     [--port P | --stdio true] [--workers W] [--queue N] [--deadline-ms D] [--session-ttl-ms T] [--io-timeout-ms T] [--snapshot-dir DIR] [--cache-mb M] [--seed S] [--shards S] [--transport threaded|event-loop]\n  \
            nfa-tool query     --addr HOST:PORT (--regex PAT | --file NFA.txt) --length N [--op count|count-exact|enumerate|sample] [--page-size P] [--limit K] [--count K] [--seed S] [--resume-token T] [--retries R]\n  \
            common: [--alphabet CHARS]  (default 01)\n\
@@ -189,13 +190,20 @@ fn load_nfa(args: &Args) -> Nfa {
     }
 }
 
+/// What a batch query line asks for.
+enum Verb {
+    Count,
+    CountExact,
+    Enumerate { limit: usize },
+    Sample { count: usize },
+}
+
 /// One parsed batch query line.
 struct BatchLine {
     spec: String,
-    kind: QueryKind,
+    verb: Verb,
+    /// The line's session; `was_cached` tags the answer `hit`/`miss`.
     handle: InstanceHandle,
-    /// Whether the session hit the instance cache at prepare time.
-    prepared_warm: bool,
     seed: u64,
 }
 
@@ -218,7 +226,6 @@ fn run_batch(args: &Args) {
     let seed = args.get_usize("seed").unwrap_or(0xC0FFEE) as u64;
     let page_size = args.get_usize("page-size").unwrap_or(100).max(1);
     let config = EngineConfig {
-        threads: args.get_usize("threads").unwrap_or(1).max(1),
         cache_bytes: args.get_usize("cache-mb").unwrap_or(256) << 20,
         seed,
         ..EngineConfig::default()
@@ -231,8 +238,8 @@ fn run_batch(args: &Args) {
         ..ShardedConfig::default()
     });
     // Phase 1 — the session flow: each line resolves to an instance handle
-    // (compiling its pattern at most once engine-wide), so the requests
-    // below carry handles, never automata.
+    // (compiling its pattern at most once engine-wide), so the answers
+    // below run on handles, never automata.
     let mut lines: Vec<BatchLine> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -253,16 +260,16 @@ fn run_batch(args: &Args) {
             v.parse()
                 .unwrap_or_else(|_| bad("extra arg must be a number"))
         });
-        let kind = match command {
-            "count" => QueryKind::Count,
-            "count-exact" => QueryKind::CountExact,
-            // The batch path buffers pages, so an absent LIMIT defaults to a
-            // bounded prefix rather than materializing the language (use the
-            // streaming `enumerate` subcommand for full listings).
-            "enumerate" => QueryKind::Enumerate {
+        let verb = match command {
+            "count" => Verb::Count,
+            "count-exact" => Verb::CountExact,
+            // An absent LIMIT defaults to a bounded prefix rather than
+            // streaming the whole language (use the `enumerate` subcommand
+            // for full listings).
+            "enumerate" => Verb::Enumerate {
                 limit: extra.unwrap_or(1000),
             },
-            "sample" => QueryKind::Sample {
+            "sample" => Verb::Sample {
                 count: extra.unwrap_or(1),
             },
             _ => bad("unknown command"),
@@ -274,90 +281,46 @@ fn run_batch(args: &Args) {
         let handle = engine.prepare_nfa(&nfa, length);
         lines.push(BatchLine {
             spec: format!("{command} {pattern} @{length}"),
-            kind,
-            prepared_warm: handle.was_cached(),
+            verb,
             handle,
             seed: seed.wrapping_add(lines.len() as u64),
         });
     }
-    // Phase 2 — answer the buffered kinds through one handle-based batch.
-    let buffered: Vec<(usize, QueryRequest)> = lines
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !matches!(l.kind, QueryKind::Enumerate { .. }))
-        .map(|(i, l)| (i, QueryRequest::on(&l.handle, l.kind, l.seed)))
-        .collect();
-    let responses =
-        engine.query_batch(&buffered.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>());
-    let mut answered: Vec<Option<&lsc_core::engine::QueryResponse>> = vec![None; lines.len()];
-    for ((i, _), response) in buffered.iter().zip(&responses) {
-        answered[*i] = Some(response);
-    }
-    // Phase 3 — print in line order; enumerate lines stream through a cursor
-    // with per-page progress and resume tokens.
+    // Phase 2 — answer each line on its handle, in line order; enumerate
+    // lines stream through a cursor with per-page progress and resume tokens.
     for (i, line) in lines.iter().enumerate() {
-        let tag = if line.prepared_warm { "hit " } else { "miss" };
-        match (&line.kind, answered[i]) {
-            (QueryKind::Enumerate { limit }, _) => {
-                println!(
-                    "[{}] {} [{tag}]: streaming up to {limit} witnesses in pages of {page_size}",
-                    i + 1,
-                    line.spec,
-                );
-                let mut cursor = engine.cursor(&line.handle);
-                let mut remaining = *limit;
-                let mut page = 0usize;
-                while remaining > 0 {
-                    let words: Vec<_> = cursor.by_ref().take(page_size.min(remaining)).collect();
-                    if words.is_empty() {
-                        break;
-                    }
-                    remaining -= words.len();
-                    page += 1;
-                    let shown: Vec<String> =
-                        words.iter().map(|w| format_word(w, &alphabet)).collect();
-                    println!("    page {page}: {}", shown.join(" "));
-                    if !cursor.is_done() {
-                        println!("      resume-token: {}", cursor.token());
-                    }
-                }
-                println!(
-                    "    {} witness(es){}",
-                    cursor.rank(),
-                    if cursor.is_done() {
-                        ", exhausted"
-                    } else {
-                        ", truncated"
-                    }
-                );
+        let tag = if line.handle.was_cached() {
+            "hit "
+        } else {
+            "miss"
+        };
+        let head = format!("[{}] {} [{tag}]", i + 1, line.spec);
+        let answer = match line.verb {
+            Verb::Enumerate { limit } => {
+                println!("{head}: streaming up to {limit} witnesses in pages of {page_size}");
+                stream_pages(&engine, &line.handle, limit, page_size, &alphabet);
+                continue;
             }
-            (_, Some(response)) => match &response.output {
-                Ok(QueryOutput::Count(routed)) => {
-                    let marker = if routed.is_exact() { "=" } else { "≈" };
-                    println!(
-                        "[{}] {} [{tag}]: {marker} {}",
-                        i + 1,
-                        line.spec,
-                        routed.estimate
-                    );
-                }
-                Ok(QueryOutput::Exact(count)) => {
-                    println!("[{}] {} [{tag}]: = {count}", i + 1, line.spec);
-                }
-                Ok(QueryOutput::Words(words)) => {
-                    let shown: Vec<String> =
-                        words.iter().map(|w| format_word(w, &alphabet)).collect();
-                    println!(
-                        "[{}] {} [{tag}]: {} words: {}",
-                        i + 1,
-                        line.spec,
-                        words.len(),
-                        shown.join(" ")
-                    );
-                }
-                Err(e) => println!("[{}] {} [{tag}]: error: {e}", i + 1, line.spec),
-            },
-            _ => unreachable!("every non-enumerate line was batched"),
+            Verb::Count => engine.count_on(&line.handle).map(|(routed, _)| {
+                let marker = if routed.is_exact() { "=" } else { "≈" };
+                format!("{marker} {}", routed.estimate)
+            }),
+            Verb::CountExact => engine
+                .count_exact_on(&line.handle)
+                .map(|(count, _)| format!("= {count}")),
+            Verb::Sample { count } => {
+                engine
+                    .sample_on(&line.handle, line.seed, count)
+                    .map(|(words, _)| {
+                        let shown: Vec<String> =
+                            words.iter().map(|w| format_word(w, &alphabet)).collect();
+                        format!("{} words: {}", words.len(), shown.join(" "))
+                    })
+            }
+        };
+        match answer {
+            Ok(text) => println!("{head}: {text}"),
+            Err(e) => println!("{head}: error: {e}"),
         }
     }
     let stats = engine.stats();
@@ -369,6 +332,44 @@ fn run_batch(args: &Args) {
         stats.aggregate.entries,
         stats.aggregate.bytes / 1024,
         stats.per_shard.len(),
+    );
+}
+
+/// One `batch` enumerate line: up to `limit` witnesses off a fresh cursor,
+/// printed in pages with a resume token after every unfinished page, then
+/// settled (the pages may have materialized tables).
+fn stream_pages(
+    engine: &ShardedEngine,
+    handle: &InstanceHandle,
+    limit: usize,
+    page_size: usize,
+    alphabet: &Alphabet,
+) {
+    let mut cursor = engine.cursor(handle);
+    let mut remaining = limit;
+    let mut page = 0usize;
+    while remaining > 0 {
+        let words: Vec<_> = cursor.by_ref().take(page_size.min(remaining)).collect();
+        if words.is_empty() {
+            break;
+        }
+        remaining -= words.len();
+        page += 1;
+        let shown: Vec<String> = words.iter().map(|w| format_word(w, alphabet)).collect();
+        println!("    page {page}: {}", shown.join(" "));
+        if !cursor.is_done() {
+            println!("      resume-token: {}", cursor.token());
+        }
+    }
+    engine.settle(handle);
+    println!(
+        "    {} witness(es){}",
+        cursor.rank(),
+        if cursor.is_done() {
+            ", exhausted"
+        } else {
+            ", truncated"
+        }
     );
 }
 

@@ -35,7 +35,8 @@
 //!   [`EnumCursor`](prelude::EnumCursor)s with serializable
 //!   [`ResumeToken`](prelude::ResumeToken)s, amortized
 //!   [`GenStream`](prelude::GenStream)s, and a fingerprint-keyed,
-//!   byte-capped LRU instance cache with batched deterministic dispatch —
+//!   byte-capped LRU instance cache whose handle methods settle the byte
+//!   cap after every query —
 //!   and the concurrent serving layer ([`core::serve`]): `nfa_tool serve`,
 //!   a versioned JSON-lines wire protocol over TCP/stdio with
 //!   connection-scoped sessions, admission control, and on-disk
@@ -77,7 +78,7 @@
 //! assert!(instance.check_witness(&witness));
 //! ```
 //!
-//! ## Serving repeated traffic: sessions, cursors, and batches
+//! ## Serving repeated traffic: sessions, cursors, and handle methods
 //!
 //! Production workloads ask the same instances over and over. An
 //! [`Engine`](prelude::Engine) caches prepared instances by structural
@@ -112,15 +113,15 @@
 //! let samples: Vec<Word> = engine.sample(&instance, 7).unwrap().take(3).collect();
 //! assert!(samples.iter().all(|w| nfa.accepts(w)));
 //!
-//! // The batch compatibility layer rides on the same cache: requests carry
-//! // handles or shared automata — never a per-request automaton copy.
+//! // A server answers on session handles: each handle method resolves the
+//! // handle once (reporting `cache_hit`), runs on its pinned artifact —
+//! // never a per-request automaton copy — and settles the byte cap.
 //! let handle = engine.prepare(&instance);
-//! let responses = engine.query_batch(&[
-//!     QueryRequest::on(&handle, QueryKind::Count, 0),
-//!     QueryRequest::on(&handle, QueryKind::Enumerate { limit: 10 }, 1),
-//!     QueryRequest::on(&handle, QueryKind::Sample { count: 3 }, 2),
-//! ]);
-//! assert!(responses.iter().all(|r| r.output.is_ok() && r.cache_hit));
+//! let (routed, cache_hit) = engine.count_on(&handle).unwrap();
+//! assert!(cache_hit && routed.is_exact());
+//! let page: Vec<Word> = engine.cursor(&handle).take(10).collect();
+//! let (draws, cache_hit) = engine.sample_on(&handle, 2, 3).unwrap();
+//! assert!(cache_hit && page.len() == 10 && draws.len() == 3);
 //! // One compilation served everything above.
 //! assert_eq!(engine.stats().misses, 1);
 //! ```
@@ -155,9 +156,8 @@ pub mod prelude {
     pub use lsc_automata::regex::Regex;
     pub use lsc_automata::{Alphabet, Nfa, Word};
     pub use lsc_core::engine::{
-        Engine, EngineConfig, EnumCursor, GenStream, InstanceHandle, QueryKind, QueryOutput,
-        QueryRequest, QueryResponse, QueryTarget, Queryable, ResumeToken, RouterConfig, WordCursor,
-        WordGenStream,
+        Engine, EngineConfig, EnumCursor, GenStream, InstanceHandle, Queryable, ResumeToken,
+        RouterConfig, WordCursor, WordGenStream,
     };
     pub use lsc_core::fpras::FprasParams;
     pub use lsc_core::sample::GenOutcome;
