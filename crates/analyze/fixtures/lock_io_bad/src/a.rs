@@ -1,11 +1,23 @@
-//! Bad fixture: blocking filesystem I/O performed while a mutex guard is
-//! live — once directly, once through a same-impl helper call — and
-//! lsc-analyze must report `lock-across-io` for both.
+//! Bad fixture: blocking I/O performed while a mutex guard is live —
+//! once directly, once through a same-impl helper call, once by handing
+//! the guarded connection to a closure — and lsc-analyze must report
+//! `lock-across-io` for all three.
 
 use std::sync::Mutex;
 
 pub struct Log {
     state: Mutex<u32>,
+    conn: Mutex<Conn>,
+}
+
+pub struct Conn {
+    addr: String,
+}
+
+impl Conn {
+    pub fn call(&mut self) {
+        let _ = std::net::TcpStream::connect(&self.addr);
+    }
 }
 
 impl Log {
@@ -21,5 +33,10 @@ impl Log {
 
     fn flush(&self) {
         let _ = std::fs::write("/tmp/fixture", b"flush");
+    }
+
+    pub fn through_guard<F: Fn(&mut Conn)>(&self, op: F) {
+        let mut conn = self.conn.lock().unwrap();
+        op(&mut conn);
     }
 }

@@ -1,11 +1,22 @@
 //! Good fixture: the guard is always released — by scope or by explicit
-//! `drop` — before any blocking I/O runs, and the helper is only called
-//! unheld. lsc-analyze must stay silent.
+//! `drop` — before any blocking I/O runs, the helper is only called
+//! unheld, and the connection a closure gets is owned, not guarded.
+//! lsc-analyze must stay silent.
 
 use std::sync::Mutex;
 
 pub struct Log {
     state: Mutex<u32>,
+}
+
+pub struct Conn {
+    addr: String,
+}
+
+impl Conn {
+    pub fn call(&mut self) {
+        let _ = std::net::TcpStream::connect(&self.addr);
+    }
 }
 
 impl Log {
@@ -34,5 +45,13 @@ impl Log {
 
     fn flush(&self) {
         let _ = std::fs::write("/tmp/fixture", b"flush");
+    }
+
+    pub fn owned_conn<F: Fn(&mut Conn)>(&self, conn: &mut Conn, op: F) {
+        {
+            let mut g = self.state.lock().unwrap();
+            *g += 1;
+        }
+        op(conn);
     }
 }

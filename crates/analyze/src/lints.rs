@@ -54,6 +54,25 @@ impl<'a> LockGraph<'a> {
         self.by_key.get(&key).cloned().unwrap_or_default()
     }
 
+    /// The first (by name) method of one of `types` — `method` itself
+    /// when given — that may perform blocking I/O.
+    fn io_method(&self, types: &[String], method: Option<&str>) -> Option<String> {
+        let mut hits: Vec<String> = self
+            .by_key
+            .iter()
+            .filter(|((ty, name), _)| {
+                types.contains(ty) && method.is_none_or(|m| m == name.as_str())
+            })
+            .filter(|(_, refs)| {
+                refs.iter()
+                    .any(|r| self.io_star.get(r).copied().unwrap_or(false))
+            })
+            .map(|((ty, name), _)| format!("{ty}::{name}"))
+            .collect();
+        hits.sort();
+        hits.into_iter().next()
+    }
+
     fn build(models: &'a [FileModel]) -> LockGraph<'a> {
         let mut by_key: HashMap<(String, String), Vec<FnRef>> = HashMap::new();
         let mut refs = Vec::new();
@@ -218,6 +237,30 @@ pub fn lock_lints(models: &[FileModel], out: &mut Vec<Finding>) {
                                     ));
                                 }
                             }
+                        }
+                    }
+                    Event::GuardUse {
+                        types,
+                        method,
+                        line,
+                        held,
+                    } if !held.is_empty() => {
+                        let Some(callee) = g.io_method(types, method.as_deref()) else {
+                            continue;
+                        };
+                        let how = match method {
+                            Some(_) => format!("calls {callee} on a guarded value"),
+                            None => format!(
+                                "passes a guarded value into a call ({callee} may perform blocking I/O)"
+                            ),
+                        };
+                        for h in held {
+                            out.push(Finding::new(
+                                LOCK_ACROSS_IO,
+                                &m.rel,
+                                *line,
+                                format!("{fname} {how} while holding {h}"),
+                            ));
                         }
                     }
                     _ => {}

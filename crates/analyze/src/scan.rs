@@ -22,6 +22,9 @@ pub struct LockField {
     pub strukt: String,
     pub field: String,
     pub kind: LockKind,
+    /// Type names inside the lock's type arguments (`Mutex<Client>` ->
+    /// `Client`): what a guard of this lock hands out.
+    pub guarded: Vec<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -83,6 +86,15 @@ pub enum Event {
         line: u32,
         held: Vec<String>,
     },
+    /// A live guard's value handed on: as the receiver of `method`, or
+    /// (`None`) as an argument to a call, closures included, whose body
+    /// the scanner cannot see. `types` are the lock's guarded types.
+    GuardUse {
+        types: Vec<String>,
+        method: Option<String>,
+        line: u32,
+        held: Vec<String>,
+    },
     /// Iteration over a HashMap/HashSet-typed field or local.
     MapIter {
         recv: String,
@@ -131,6 +143,7 @@ pub struct FileModel {
 #[derive(Debug, Default)]
 pub struct FieldTable {
     by_struct: HashMap<(String, String), LockKind>,
+    guarded: HashMap<(String, String), Vec<String>>,
     by_name: HashMap<String, Vec<(String, LockKind)>>,
     map_structs: HashSet<(String, String)>,
     map_names: HashSet<String>,
@@ -143,6 +156,8 @@ impl FieldTable {
             for lf in &m.lock_fields {
                 t.by_struct
                     .insert((lf.strukt.clone(), lf.field.clone()), lf.kind);
+                t.guarded
+                    .insert((lf.strukt.clone(), lf.field.clone()), lf.guarded.clone());
                 t.by_name
                     .entry(lf.field.clone())
                     .or_default()
@@ -182,6 +197,23 @@ impl FieldTable {
             1 => Some(format!("{}.{}", cands[0].0, field)),
             _ => Some(format!("*.{field}")),
         }
+    }
+
+    /// The guarded types of a resolved lock identity (`Struct.field`, or
+    /// `*.field` merging every struct with such a field).
+    pub fn guarded_types(&self, lock: &str) -> Vec<String> {
+        let Some((strukt, field)) = lock.split_once('.') else {
+            return Vec::new();
+        };
+        let mut types: Vec<String> = self
+            .guarded
+            .iter()
+            .filter(|((s, f), _)| f == field && (strukt == "*" || s == strukt))
+            .flat_map(|(_, types)| types.iter().cloned())
+            .collect();
+        types.sort();
+        types.dedup();
+        types
     }
 
     pub fn is_map_field(&self, name: &str) -> bool {
@@ -371,10 +403,19 @@ fn classify_field(
         None
     };
     if let Some(kind) = kind {
+        let at = ty
+            .iter()
+            .position(|t| matches!(t, Tok::Ident(s) if s == "Mutex" || s == "RwLock"))
+            .unwrap_or(0);
+        let guarded = ty[at + 1..]
+            .iter()
+            .filter_map(|t| ident_of(t).map(String::from))
+            .collect();
         locks.push(LockField {
             strukt: strukt.to_string(),
             field: field.to_string(),
             kind,
+            guarded,
         });
     }
     if type_tokens_contain(ty, &["HashMap", "HashSet"]).is_some() {
@@ -748,6 +789,8 @@ struct BodyScanner<'a> {
 
 struct GuardState {
     lock: String,
+    /// The lock's guarded types.
+    types: Vec<String>,
     name: Option<String>,
     bound: i32,
     temp: bool,
@@ -831,6 +874,7 @@ impl<'a> BodyScanner<'a> {
                             continue;
                         }
                     }
+                    self.note_guard_use(&mut events, &guards, s, j, e, line);
                     if let Some(consumed) = self.try_io(&mut events, &guards, j, e, line) {
                         j = consumed;
                         continue;
@@ -870,6 +914,62 @@ impl<'a> BodyScanner<'a> {
             }
         }
         (events, mentions_faults)
+    }
+
+    /// A named live guard used as a method receiver (`g.m(`) or passed as
+    /// a call argument (`f(&mut g, ..)`, `op(g)`): records a
+    /// [`Event::GuardUse`], so I/O behind the guarded type is seen even
+    /// where the callee is a closure or a method on another receiver.
+    fn note_guard_use(
+        &self,
+        events: &mut Vec<Event>,
+        guards: &[GuardState],
+        s: usize,
+        j: usize,
+        e: usize,
+        line: u32,
+    ) {
+        let toks = self.toks;
+        let Some(id) = ident_of(&toks[j].tok) else {
+            return;
+        };
+        if j > s && is_punct(&toks[j - 1].tok, '.') {
+            return; // a field or method named like the guard
+        }
+        let Some(guard) = guards.iter().rev().find(|g| g.name.as_deref() == Some(id)) else {
+            return;
+        };
+        let method =
+            if j + 3 < e && is_punct(&toks[j + 1].tok, '.') && is_punct(&toks[j + 3].tok, '(') {
+                ident_of(&toks[j + 2].tok).map(String::from)
+            } else {
+                None
+            };
+        if method.is_none() {
+            // Argument position: `(` or `,` before (past `&`, `mut`,
+            // `*`), `,` or `)` after.
+            let mut k = j;
+            while k > s
+                && (is_punct(&toks[k - 1].tok, '&')
+                    || is_punct(&toks[k - 1].tok, '*')
+                    || is_ident(&toks[k - 1].tok, "mut"))
+            {
+                k -= 1;
+            }
+            let opened =
+                k > s && (is_punct(&toks[k - 1].tok, '(') || is_punct(&toks[k - 1].tok, ','));
+            let closed =
+                j + 1 < e && (is_punct(&toks[j + 1].tok, ',') || is_punct(&toks[j + 1].tok, ')'));
+            if !(opened && closed) {
+                return;
+            }
+        }
+        events.push(Event::GuardUse {
+            types: guard.types.clone(),
+            method,
+            line,
+            held: self.held(guards),
+        });
     }
 
     /// Filesystem/socket operation sequences.
@@ -989,6 +1089,7 @@ impl<'a> BodyScanner<'a> {
             _ => None,
         };
         guards.push(GuardState {
+            types: self.table.guarded_types(&lock),
             lock,
             name,
             bound: depth,
@@ -1366,6 +1467,45 @@ mod tests {
             })
             .collect();
         assert_eq!(call_held, vec![Vec::<String>::new()]);
+    }
+
+    #[test]
+    fn guard_uses_carry_the_guarded_types() {
+        let m = model(
+            r#"
+            use std::sync::{Arc, Mutex};
+            struct S { c: Arc<Mutex<Conn>> }
+            impl S {
+                fn f(&self, op: impl Fn(&mut Conn)) {
+                    let mut g = self.c.lock().unwrap();
+                    g.call();
+                    op(&mut g);
+                    let n = g.n + 1;
+                    drop(g);
+                    op(&mut g);
+                }
+            }
+        "#,
+        );
+        let uses: Vec<(Vec<String>, Option<String>, usize)> = m.functions[0]
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::GuardUse {
+                    types,
+                    method,
+                    held,
+                    ..
+                } => Some((types.clone(), method.clone(), held.len())),
+                _ => None,
+            })
+            .collect();
+        let conn = vec!["Conn".to_string()];
+        assert_eq!(
+            uses,
+            [(conn.clone(), Some("call".to_string()), 1), (conn, None, 1)],
+            "receiver and argument uses while held; field reads and uses after drop are not"
+        );
     }
 
     #[test]

@@ -466,7 +466,8 @@ impl ShardedEngine {
     /// # Errors
     /// Propagates FPRAS failure events when the FPRAS route fires.
     pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
-        Ok(self.count_on(&self.prepare(queryable))?.0)
+        let handle = self.prepare(queryable);
+        self.home(&handle).routed(&handle)
     }
 
     /// Exact `COUNT` on a domain object (see [`Engine::count_exact`]).
@@ -777,6 +778,27 @@ mod tests {
         assert!(sharded.count_exact_on(&handle).unwrap().1);
         let stats = sharded.stats();
         assert_eq!((stats.aggregate.hits, stats.aggregate.misses), (5, 2));
+    }
+
+    #[test]
+    fn typed_counts_resolve_once_like_the_unsharded_engine() {
+        let sharded = ShardedEngine::with_shards(4);
+        let single = Engine::new(EngineConfig::default());
+        let query = instance(4);
+        for _ in 0..3 {
+            assert_eq!(
+                sharded.count(&query).unwrap().exact,
+                single.count(&query).unwrap().exact
+            );
+            assert_eq!(
+                sharded.count_exact(&query).unwrap(),
+                single.count_exact(&query).unwrap()
+            );
+        }
+        let sharded = sharded.stats().aggregate;
+        let single = single.stats();
+        assert_eq!((single.hits, single.misses), (5, 1));
+        assert_eq!((sharded.hits, sharded.misses), (single.hits, single.misses));
     }
 
     #[test]

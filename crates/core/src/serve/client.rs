@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use crate::serve::faults::splitmix64;
@@ -629,6 +629,9 @@ impl Client {
     fn try_connect(&mut self) -> Result<(), String> {
         // lsc-analyze: allow(unrouted-io) reason="client-side socket: chaos injects faults at the server's FaultyStream and exercises this path via reconnects"
         let stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
+        if is_self_connect(stream.local_addr().ok(), stream.peer_addr().ok()) {
+            return Err("connect: self-connect".to_string());
+        }
         let _ = stream.set_read_timeout(self.config.io_timeout);
         let _ = stream.set_write_timeout(self.config.io_timeout);
         // One full frame per write: Nagle + delayed ACK would otherwise
@@ -724,6 +727,14 @@ impl Client {
             attempt,
         ));
     }
+}
+
+/// A TCP self-connect: a dial to a dead local port whose ephemeral source
+/// port is the target port connects the socket to itself, and would then
+/// hold the port a restarting server needs. It counts as a failed,
+/// retryable connect attempt.
+fn is_self_connect(local: Option<SocketAddr>, peer: Option<SocketAddr>) -> bool {
+    local.is_some() && local == peer
 }
 
 /// Terminates a request line, so the whole frame goes out in one write
@@ -1046,6 +1057,22 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_self_connected_socket_is_rejected() {
+        let addr: SocketAddr = "127.0.0.1:40000".parse().unwrap();
+        assert!(is_self_connect(Some(addr), Some(addr)));
+        assert!(
+            !is_self_connect(None, None),
+            "unknown ends are not a self-connect"
+        );
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(!is_self_connect(
+            stream.local_addr().ok(),
+            stream.peer_addr().ok()
+        ));
     }
 
     #[test]

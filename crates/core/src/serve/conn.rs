@@ -12,13 +12,20 @@
 //!   per-connection handler on a thread of its own. The threaded server
 //!   and the router front differ only in those sites and the handler.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::serve::faults::{FaultPlan, FaultSite, FaultyStream};
+
+/// The longest request line either framing accepts, its newline
+/// included. A longer line closes the connection dirty, with no reply:
+/// [`serve_lines`] reads at most one byte past it, and the event loop
+/// drops a connection whose read buffer grows past it. Replies are not
+/// capped (a `max_batch` page can be larger).
+pub(crate) const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// One response line plus whether the connection should close after it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,24 +39,33 @@ pub struct Reply {
 /// Serves one blocking connection until EOF or a closing reply.
 ///
 /// Framing is `BufRead::lines`: `\n` terminates a line, a trailing `\r`
-/// is stripped, a final unterminated line is still answered, and invalid
-/// UTF-8 is an I/O error. Blank lines get no reply. Each reply is
-/// flushed before the next line is read, so replies come back in request
-/// order and nothing after a closing reply is read.
+/// before it is stripped, a final unterminated line is still answered,
+/// and invalid UTF-8 is an I/O error. Blank lines get no reply. Each
+/// reply is flushed before the next line is read, so replies come back in
+/// request order and nothing after a closing reply is read. A line longer
+/// than [`MAX_LINE_BYTES`] ends the connection as an I/O error would.
 ///
-/// Returns true when an I/O error (on either half) ended the connection
-/// rather than a clean EOF or closing reply.
+/// Returns true when an I/O error (on either half) or an over-long line
+/// ended the connection rather than a clean EOF or closing reply.
 pub(crate) fn serve_lines(
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
     mut answer: impl FnMut(&str) -> Reply,
 ) -> bool {
-    for line in reader.lines() {
-        let Ok(line) = line else { return true };
+    loop {
+        let mut buf = String::new();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_line(&mut buf) {
+            Ok(0) => return false,
+            Ok(n) if n <= MAX_LINE_BYTES => {}
+            _ => return true,
+        }
+        let line = buf.strip_suffix('\n');
+        let line = line.map_or(&buf[..], |l| l.strip_suffix('\r').unwrap_or(l));
         if line.trim().is_empty() {
             continue;
         }
-        let reply = answer(&line);
+        let reply = answer(line);
         if writeln!(writer, "{}", reply.text)
             .and_then(|()| writer.flush())
             .is_err()
@@ -57,10 +73,9 @@ pub(crate) fn serve_lines(
             return true;
         }
         if reply.close {
-            break;
+            return false;
         }
     }
-    false
 }
 
 /// Binds `addr` and spawns a thread-per-connection accept loop named
@@ -261,6 +276,23 @@ mod tests {
         assert_eq!(seen, ["a"]);
         assert_eq!(out, "<a>\n");
         assert!(dirty);
+    }
+
+    #[test]
+    fn a_line_past_the_cap_closes_the_connection_without_a_reply() {
+        let mut at_cap = vec![b'a'; MAX_LINE_BYTES - 1];
+        at_cap.push(b'\n');
+        let (seen, _, dirty) = run(&[b"x\n", at_cap.as_slice(), b"y\n"].concat());
+        assert_eq!(seen.len(), 3, "a line of exactly the cap is served");
+        assert!(!dirty);
+
+        let over = vec![b'a'; MAX_LINE_BYTES + 1];
+        for tail in [&b""[..], b"\n", b"\ny\n"] {
+            let (seen, out, dirty) = run(&[b"x\n", over.as_slice(), tail].concat());
+            assert_eq!(seen, ["x"]);
+            assert_eq!(out, "<x>\n", "no reply for the over-long line");
+            assert!(dirty);
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use lsc_reactor::{Event, Interest, Poller, Token, Waker};
 
-use crate::serve::conn::{Reply, TcpServerHandle};
+use crate::serve::conn::{Reply, TcpServerHandle, MAX_LINE_BYTES};
 use crate::serve::faults::{FaultPlan, FaultSite, FaultyStream};
 use crate::serve::server::ServerInner;
 
@@ -71,11 +71,6 @@ const WAKER: usize = 1;
 /// First connection token (monotonic from here; tokens are never reused,
 /// so a late completion can never alias a newer connection).
 const FIRST_CONN: usize = 2;
-
-/// A read buffer growing past this without a newline is a runaway frame;
-/// the connection is dropped as dirty (the threaded transport's analogue
-/// is a reader thread pinned forever, which the read timeout reaps).
-const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Sweep cadence for idle-connection reaping.
 const SWEEP_EVERY: Duration = Duration::from_millis(500);
@@ -278,6 +273,8 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
+                    // A runaway frame past the shared line cap: dirty
+                    // close, no reply, as the blocking loop does.
                     if conn.rbuf.len() > MAX_LINE_BYTES {
                         self.close_conn(token, true);
                         return;

@@ -9,13 +9,21 @@
 //! of the ring membership, and adding or removing a node moves only the
 //! bounded set of fingerprints the ring reassigns.
 //!
+//! Router state is connection-scoped, like the server's sessions: each
+//! front connection owns its routes (keyed by the `r<N>` aliases it was
+//! issued — another connection's alias is `unknown-session` here) and
+//! one reconnecting [`Client`] per backend, dialled on first use. No
+//! backend socket is shared between front connections, and none is
+//! locked; ending a front connection closes its backend sockets, and
+//! each backend drops that connection's sessions at EOF.
+//!
 //! Three properties make failover-with-cursor-survival work by
 //! construction rather than by protocol extension:
 //!
-//! * **Sessions are re-preparable.** Each backend is driven through one
-//!   multiplexed reconnecting [`Client`], which keeps the `(spec,
-//!   length)` registry needed to re-`prepare` any alias after a reset,
-//!   restart, or idle eviction.
+//! * **Sessions are re-preparable.** A connection's [`Client`] for a
+//!   backend keeps the `(spec, length)` registry needed to re-`prepare`
+//!   any alias after a reset, restart, or idle eviction, and the last
+//!   acknowledged resume token of every cursor.
 //! * **Resume tokens are self-contained** (`enum1.<fp>.…`): the last
 //!   *acknowledged* token for a cursor replays bit-identically on any
 //!   node that has (or re-prepares) the instance, so a mid-stream
@@ -25,9 +33,10 @@
 //!   snapshot store to the ring replica
 //!   ([`SnapshotStore::export_fingerprint`] →
 //!   [`SnapshotStore::import_bytes`]); on [`Router::add_backend`] it
-//!   ships every fingerprint whose home the new ring assigns to the
-//!   joining node. A node started (or restarted) *after* the ship warms
-//!   the instance from disk instead of recompiling.
+//!   ships every fingerprint with an open front session whose home the
+//!   new ring assigns to the joining node. A node started (or
+//!   restarted) *after* the ship warms the instance from disk instead
+//!   of recompiling.
 //!
 //! Failure routing: front-connection I/O draws from
 //! [`FaultSite::RouterForward`], snapshot shipping from
@@ -42,9 +51,9 @@
 //!
 //! [`ShardedEngine`]: crate::engine::ShardedEngine
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -84,7 +93,8 @@ impl BackendSpec {
 pub struct RouteConfig {
     /// The backend fleet, index-identified: backend `i` is ring shard `i`.
     pub backends: Vec<BackendSpec>,
-    /// Per-backend reconnecting-client tuning (retry budget, backoff).
+    /// Backend-client tuning (retry budget, backoff), for every front
+    /// connection's client of every backend.
     pub client: ClientConfig,
     /// Virtual nodes per backend on the consistent-hash ring.
     pub ring_replicas: usize,
@@ -133,27 +143,46 @@ pub struct RouteStats {
 }
 
 /// One routed session: everything needed to re-home it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Route {
     spec: InstanceSpec,
     length: usize,
     fingerprint: u64,
-    /// The backend currently holding this alias (its client owns the
-    /// last acknowledged resume token).
+    /// The backend currently holding this alias (the connection's client
+    /// of it owns the last acknowledged resume token).
     backend: usize,
 }
 
 struct Backend {
-    client: Mutex<Client>,
+    addr: String,
     store: Option<SnapshotStore>,
-    alive: AtomicBool,
+}
+
+/// The ring and the backend table, which are always read together, plus
+/// the open front sessions per fingerprint over every connection (the
+/// fingerprints [`Router::add_backend`] ships). Backend `i` is ring
+/// shard `i`; a retired backend leaves the ring but keeps its slot.
+struct Fleet {
+    ring: ShardMap,
+    backends: Vec<Arc<Backend>>,
+    open: HashMap<u64, usize>,
+}
+
+impl Fleet {
+    /// One open front session on `fingerprint` closed.
+    fn release(&mut self, fingerprint: u64) {
+        if let Some(count) = self.open.get_mut(&fingerprint) {
+            *count -= 1;
+            if *count == 0 {
+                self.open.remove(&fingerprint);
+            }
+        }
+    }
 }
 
 struct RouterInner {
     config: RouteConfig,
-    backends: Mutex<Vec<Arc<Backend>>>,
-    ring: Mutex<ShardMap>,
-    routes: Mutex<HashMap<String, Route>>,
+    fleet: Mutex<Fleet>,
     next_session: AtomicU64,
     forwarded: AtomicU64,
     failovers: AtomicU64,
@@ -186,14 +215,16 @@ impl Router {
         let backends = config
             .backends
             .iter()
-            .map(|spec| backend_for(spec, &config.client))
+            .map(backend_for)
             .collect::<std::io::Result<Vec<_>>>()?;
         let ring = ShardMap::new(backends.len(), config.ring_replicas);
         Ok(Router {
             inner: Arc::new(RouterInner {
-                backends: Mutex::new(backends),
-                ring: Mutex::new(ring),
-                routes: Mutex::new(HashMap::new()),
+                fleet: Mutex::new(Fleet {
+                    ring,
+                    backends,
+                    open: HashMap::new(),
+                }),
                 next_session: AtomicU64::new(0),
                 forwarded: AtomicU64::new(0),
                 failovers: AtomicU64::new(0),
@@ -217,32 +248,30 @@ impl Router {
         }
     }
 
-    /// Joins a backend to the ring and ships every known fingerprint the
-    /// new ring homes on it (so a node started *after* this call warms
-    /// those instances from disk). Returns the new backend's index.
+    /// Joins a backend to the ring and ships every fingerprint with an
+    /// open front session that the new ring homes on it, from its
+    /// previous home (so a node started *after* this call warms those
+    /// instances from disk). Returns the new backend's index.
     ///
     /// # Errors
     /// Snapshot-directory failures propagate; the ring is unchanged.
     pub fn add_backend(&self, spec: BackendSpec) -> std::io::Result<usize> {
-        let backend = backend_for(&spec, &self.inner.config.client)?;
-        let mut backends = self.inner.backends.lock().expect("backends poisoned");
-        let id = backends.len();
-        backends.push(backend);
-        drop(backends);
-        self.inner.ring.lock().expect("ring poisoned").add_shard(id);
-        // Re-home shipped artifacts: each distinct fingerprint whose home
-        // the grown ring moved onto the joiner gets its snapshot shipped
-        // from wherever it currently lives.
-        let moved: Vec<(u64, usize)> = {
-            let ring = self.inner.ring.lock().expect("ring poisoned");
-            let routes = self.inner.routes.lock().expect("routes poisoned");
-            let mut seen = HashSet::new();
-            routes
-                .values()
-                .filter(|route| seen.insert(route.fingerprint))
-                .filter(|route| ring.shard_for(route.fingerprint) == id)
-                .map(|route| (route.fingerprint, route.backend))
-                .collect()
+        let backend = backend_for(&spec)?;
+        let (id, moved) = {
+            let mut fleet = self.inner.fleet.lock().expect("fleet poisoned");
+            let id = fleet.backends.len();
+            let homes: Vec<(u64, usize)> = fleet
+                .open
+                .keys()
+                .map(|&fingerprint| (fingerprint, fleet.ring.shard_for(fingerprint)))
+                .collect();
+            fleet.backends.push(backend);
+            fleet.ring.add_shard(id);
+            let moved: Vec<(u64, usize)> = homes
+                .into_iter()
+                .filter(|&(fingerprint, _)| fleet.ring.shard_for(fingerprint) == id)
+                .collect();
+            (id, moved)
         };
         for (fingerprint, from) in moved {
             self.inner.ship(fingerprint, from, id);
@@ -254,16 +283,16 @@ impl Router {
     /// their next request). Returns `false` for the last live backend —
     /// the ring refuses to become empty.
     pub fn remove_backend(&self, id: usize) -> bool {
-        self.inner.retire_backend(id)
+        self.inner.retire(id).is_ok()
     }
 
     /// Serves the wire protocol on `addr`, thread-per-connection (the
     /// router's work per request is one forwarded RPC, so a blocking
     /// thread per front connection is the right shape): the shared
     /// acceptor and line loop, with front-connection I/O at
-    /// [`FaultSite::RouterForward`]. Sessions a connection created are
-    /// dropped when it ends. Returns a handle whose `shutdown` stops the
-    /// accept loop.
+    /// [`FaultSite::RouterForward`]. Each connection owns its sessions
+    /// and its backend clients; both go when it ends. Returns a handle
+    /// whose `shutdown` stops the accept loop.
     ///
     /// # Errors
     /// Propagates `bind` failures.
@@ -277,45 +306,63 @@ impl Router {
             config.faults.clone(),
             (FaultSite::RouterForward, FaultSite::RouterForward),
             move |reader, writer| {
-                let mut local: Vec<String> = Vec::new();
+                let mut front = Front {
+                    inner: inner.clone(),
+                    routes: HashMap::new(),
+                    clients: HashMap::new(),
+                };
                 serve_lines(reader, writer, |line| {
-                    respond(line, |request| inner.dispatch(&mut local, request))
+                    respond(line, |request| front.dispatch(request))
                 });
-                for alias in local {
-                    inner.drop_route(&alias);
-                }
             },
         )
     }
 }
 
-fn backend_for(spec: &BackendSpec, client: &ClientConfig) -> std::io::Result<Arc<Backend>> {
-    let store = match &spec.snapshot_dir {
-        Some(dir) => Some(SnapshotStore::open(dir)?),
-        None => None,
-    };
-    Ok(Arc::new(Backend {
-        client: Mutex::new(Client::new(spec.addr.clone(), client.clone())),
-        store,
-        alive: AtomicBool::new(true),
-    }))
+fn backend_for(spec: &BackendSpec) -> std::io::Result<Arc<Backend>> {
+    let store = spec.snapshot_dir.as_ref().map(SnapshotStore::open);
+    let (addr, store) = (spec.addr.clone(), store.transpose()?);
+    Ok(Arc::new(Backend { addr, store }))
 }
 
-impl RouterInner {
-    /// Transport-free dispatch of one request. `local` accumulates the
-    /// aliases this connection created (front sessions are
-    /// connection-scoped, like the server's).
-    fn dispatch(
-        &self,
-        local: &mut Vec<String>,
-        request: Request,
-    ) -> Result<Vec<(String, Json)>, WireError> {
+/// One front connection: its routes, keyed by front alias, and its own
+/// client per backend index, dialled on first use.
+struct Front {
+    inner: Arc<RouterInner>,
+    routes: HashMap<String, Route>,
+    clients: HashMap<usize, Client>,
+}
+
+impl Drop for Front {
+    /// Releases the connection's open sessions from the fleet tally; the
+    /// clients drop with it, closing their sockets.
+    fn drop(&mut self) {
+        if let Ok(mut fleet) = self.inner.fleet.lock() {
+            self.routes
+                .values()
+                .for_each(|route| fleet.release(route.fingerprint));
+        }
+    }
+}
+
+impl Front {
+    /// This connection's client of backend `id`.
+    fn client(&mut self, id: usize) -> &mut Client {
+        let inner = &self.inner;
+        self.clients.entry(id).or_insert_with(|| {
+            let fleet = inner.fleet.lock().expect("fleet poisoned");
+            Client::new(fleet.backends[id].addr.clone(), inner.config.client.clone())
+        })
+    }
+
+    /// Transport-free dispatch of one request.
+    fn dispatch(&mut self, request: Request) -> Result<Vec<(String, Json)>, WireError> {
         match request {
             Request::Hello => Ok(vec![
                 ("proto".to_string(), Json::num(1.0)),
                 ("server".to_string(), Json::str("nfa_tool route")),
             ]),
-            Request::Prepare { spec, length } => self.op_prepare(local, spec, length),
+            Request::Prepare { spec, length } => self.op_prepare(spec, length),
             Request::Count { session } => {
                 self.forward(&session, |client, alias| client.count(alias))
             }
@@ -339,17 +386,9 @@ impl RouterInner {
                 }
                 client.enumerate_page(alias, page_size)
             }),
-            Request::Close { session } => {
-                if self.drop_route(&session) {
-                    local.retain(|alias| alias != &session);
-                    Ok(vec![("closed".to_string(), Json::str(session))])
-                } else {
-                    Err(WireError::new(
-                        ErrorCode::UnknownSession,
-                        format!("no session {session:?} on this connection"),
-                    ))
-                }
-            }
+            Request::Close { session } => self
+                .close(&session)
+                .map(|()| vec![("closed".to_string(), Json::str(session))]),
             Request::Stats => self.op_stats(),
             Request::Health => self.op_health(),
             Request::Bye => Ok(vec![("bye".to_string(), Json::Bool(true))]),
@@ -361,21 +400,27 @@ impl RouterInner {
     /// replica, and answer with the *backend's* prepare fields under the
     /// router-issued session name.
     fn op_prepare(
-        &self,
-        local: &mut Vec<String>,
+        &mut self,
         spec: InstanceSpec,
         length: usize,
     ) -> Result<Vec<(String, Json)>, WireError> {
-        let fingerprint = self.fingerprint_of(&spec, length)?;
-        let alias = format!("r{}", self.next_session.fetch_add(1, Ordering::Relaxed) + 1);
+        let inner = self.inner.clone();
+        let fingerprint = inner.fingerprint_of(&spec, length)?;
+        let number = inner.next_session.fetch_add(1, Ordering::Relaxed) + 1;
+        let alias = format!("r{number}");
         let to_prepare = spec.clone();
-        self.routes.lock().expect("routes poisoned").insert(
+        let home = {
+            let mut fleet = inner.fleet.lock().expect("fleet poisoned");
+            *fleet.open.entry(fingerprint).or_insert(0) += 1;
+            fleet.ring.shard_for(fingerprint)
+        };
+        self.routes.insert(
             alias.clone(),
             Route {
                 spec,
                 length,
                 fingerprint,
-                backend: self.home_of(fingerprint)?.0,
+                backend: home,
             },
         );
         // `forward`'s migration path re-prepares on its own when the home
@@ -390,17 +435,16 @@ impl RouterInner {
             Ok(fields) => fields,
             Err(error) => {
                 // No session without a backend prepare.
-                self.drop_route(&alias);
+                let _ = self.close(&alias);
                 return Err(error);
             }
         };
-        local.push(alias.clone());
         // Replicate the artifact ahead of need: the ring minus the home
         // names the node a failover would land on.
-        if let Ok((home, _)) = self.home_of(fingerprint) {
-            if let Some(replica) = self.replica_of(fingerprint, home) {
-                self.ship(fingerprint, home, replica);
-            }
+        let mut ring = inner.fleet.lock().expect("fleet poisoned").ring.clone();
+        let home = ring.shard_for(fingerprint);
+        if ring.remove_shard(home) {
+            inner.ship(fingerprint, home, ring.shard_for(fingerprint));
         }
         Ok(fields
             .into_iter()
@@ -414,76 +458,61 @@ impl RouterInner {
             .collect())
     }
 
+    /// Drops the connection's route for `alias` and its backend session
+    /// (one best-effort `close`; a backend that misses it idles the
+    /// session out by TTL); `unknown-session` when the connection has
+    /// no such alias.
+    fn close(&mut self, alias: &str) -> Result<(), WireError> {
+        let route = self.routes.remove(alias);
+        let route = route.ok_or_else(|| unknown_session(alias))?;
+        let mut fleet = self.inner.fleet.lock().expect("fleet poisoned");
+        fleet.release(route.fingerprint);
+        drop(fleet);
+        self.client(route.backend).close(alias);
+        Ok(())
+    }
+
     /// Runs `op` against the session's home backend, following the ring
     /// through failovers: a backend that exhausts the client's retry
     /// budget is retired, the fingerprint re-resolves, the session is
     /// re-prepared on the survivor with its cursor seeded from the last
     /// acknowledged token, and `op` replays.
-    fn forward<F>(&self, session: &str, op: F) -> Result<Vec<(String, Json)>, WireError>
+    fn forward<F>(&mut self, session: &str, op: F) -> Result<Vec<(String, Json)>, WireError>
     where
         F: Fn(&mut Client, &str) -> Result<Json, ClientError>,
     {
         loop {
-            let route = self
-                .routes
-                .lock()
-                .expect("routes poisoned")
-                .get(session)
-                .cloned()
-                .ok_or_else(|| {
-                    WireError::new(
-                        ErrorCode::UnknownSession,
-                        format!("no session {session:?} on this connection"),
-                    )
-                })?;
-            let (home, backend) = self.home_of(route.fingerprint)?;
-            if home != route.backend {
+            let route = self.routes.get(session);
+            let route = route.ok_or_else(|| unknown_session(session))?;
+            let current = route.backend;
+            let fleet = self.inner.fleet.lock().expect("fleet poisoned");
+            let home = fleet.ring.shard_for(route.fingerprint);
+            drop(fleet);
+            if home != current {
                 // The ring moved this session (its home died or the
                 // topology changed): carry the last acknowledged token
                 // across, re-prepare, resume, then release the old home's
                 // session.
-                let previous = {
-                    let backends = self.backends.lock().expect("backends poisoned");
-                    backends[route.backend].clone()
-                };
-                let token = {
-                    let client = previous.client.lock().expect("client poisoned");
-                    client.last_token(session).map(str::to_string)
-                };
-                let mut client = backend.client.lock().expect("client poisoned");
-                match client.prepare(session, route.spec.clone(), route.length) {
+                let (spec, length) = (route.spec.clone(), route.length);
+                let token = self.client(current).last_token(session).map(str::to_string);
+                match self.client(home).prepare(session, spec, length) {
                     Ok(_) => {}
                     Err(ClientError::Exhausted { .. }) => {
-                        drop(client);
-                        self.retire_or_fail(home)?;
+                        self.inner.retire(home)?;
                         continue;
                     }
                     Err(error) => return Err(wire_client_error(error)),
                 }
                 if let Some(token) = token {
-                    let _ = client.resume_from(session, token);
+                    let _ = self.client(home).resume_from(session, token);
                 }
-                drop(client);
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-                if let Some(route) = self
-                    .routes
-                    .lock()
-                    .expect("routes poisoned")
-                    .get_mut(session)
-                {
-                    route.backend = home;
-                }
-                previous
-                    .client
-                    .lock()
-                    .expect("client poisoned")
-                    .close(session);
+                self.inner.failovers.fetch_add(1, Ordering::Relaxed);
+                self.routes.get_mut(session).expect("routed above").backend = home;
+                self.client(current).close(session);
             }
-            let mut client = backend.client.lock().expect("client poisoned");
-            match op(&mut client, session) {
+            match op(self.client(home), session) {
                 Ok(response) => {
-                    drop(client);
-                    self.forwarded.fetch_add(1, Ordering::Relaxed);
+                    self.inner.forwarded.fetch_add(1, Ordering::Relaxed);
                     let Json::Obj(fields) = response else {
                         return Err(WireError::new(
                             ErrorCode::Internal,
@@ -495,68 +524,105 @@ impl RouterInner {
                         .filter(|(key, _)| key != "ok" && key != "id")
                         .collect());
                 }
-                Err(ClientError::Exhausted { .. }) => {
-                    drop(client);
-                    self.retire_or_fail(home)?;
-                }
+                Err(ClientError::Exhausted { .. }) => self.inner.retire(home)?,
                 Err(error) => return Err(wire_client_error(error)),
             }
         }
     }
 
-    /// The ring's current home for `fingerprint`, as `(index, backend)`.
-    fn home_of(&self, fingerprint: u64) -> Result<(usize, Arc<Backend>), WireError> {
-        let ring = self.ring.lock().expect("ring poisoned");
-        if ring.is_empty() {
+    /// `stats` over the cluster: per-field sums of every live backend's
+    /// `server` and `engine` sections, one `shards` row per backend
+    /// (`id` = backend index, engine totals as that node reports them),
+    /// plus a `router` section with the ring counters. A backend that
+    /// fails the fan-out is retired exactly as on the request path.
+    fn op_stats(&mut self) -> Result<Vec<(String, Json)>, WireError> {
+        let mut server_totals: Vec<(String, Json)> = Vec::new();
+        let mut engine_totals: Vec<(String, Json)> = Vec::new();
+        let mut shards: Vec<Json> = Vec::new();
+        for (id, response) in self.fan_out(|client| client.server_stats())? {
+            sum_fields(&mut server_totals, response.get("server"));
+            sum_fields(&mut engine_totals, response.get("engine"));
+            let mut row = vec![("id".to_string(), Json::num(id as f64))];
+            sum_fields(&mut row, response.get("engine"));
+            shards.push(Json::Obj(row));
+        }
+        let stats = self.inner.router_stats_json();
+        Ok(vec![
+            ("server".to_string(), Json::Obj(server_totals)),
+            ("engine".to_string(), Json::Obj(engine_totals)),
+            ("shards".to_string(), Json::Arr(shards)),
+            ("router".to_string(), stats),
+        ])
+    }
+
+    /// `health` over the cluster: `ok` only if every live backend reports
+    /// `ok`; `queued` / `queue_capacity` / `sessions_open` sum;
+    /// `retry_after_ms` is the fleet maximum (the safe wait).
+    fn op_health(&mut self) -> Result<Vec<(String, Json)>, WireError> {
+        let mut status = "ok";
+        let mut queued = 0.0;
+        let mut capacity = 0.0;
+        let mut sessions = 0.0;
+        let mut retry_after: f64 = 0.0;
+        for (_, response) in self.fan_out(|client| client.health())? {
+            if response.get("status").and_then(Json::as_str) != Some("ok") {
+                status = "saturated";
+            }
+            let num = |key: &str| match response.get(key) {
+                Some(Json::Num(n)) => *n,
+                _ => 0.0,
+            };
+            queued += num("queued");
+            capacity += num("queue_capacity");
+            sessions += num("sessions_open");
+            retry_after = retry_after.max(num("retry_after_ms"));
+        }
+        Ok(vec![
+            ("status".to_string(), Json::str(status)),
+            ("queued".to_string(), Json::num(queued)),
+            ("queue_capacity".to_string(), Json::num(capacity)),
+            ("sessions_open".to_string(), Json::num(sessions)),
+            ("retry_after_ms".to_string(), Json::num(retry_after)),
+        ])
+    }
+
+    /// Runs `op` once per live backend, retiring any that exhaust their
+    /// retry budget; errors only when none are left.
+    fn fan_out<F>(&mut self, op: F) -> Result<Vec<(usize, Json)>, WireError>
+    where
+        F: Fn(&mut Client) -> Result<Json, ClientError>,
+    {
+        let fleet = self.inner.fleet.lock().expect("fleet poisoned");
+        let live = fleet.ring.shard_ids().to_vec();
+        drop(fleet);
+        let mut results = Vec::new();
+        for id in live {
+            match op(self.client(id)) {
+                Ok(response) => results.push((id, response)),
+                Err(ClientError::Exhausted { .. }) => self.inner.retire(id)?,
+                Err(error) => return Err(wire_client_error(error)),
+            }
+        }
+        if results.is_empty() {
             return Err(no_backends());
         }
-        let home = ring.shard_for(fingerprint);
-        drop(ring);
-        let backends = self.backends.lock().expect("backends poisoned");
-        Ok((home, backends[home].clone()))
+        self.inner.forwarded.fetch_add(1, Ordering::Relaxed);
+        Ok(results)
     }
+}
 
-    /// The node a failover of `fingerprint` would land on: the ring
-    /// without its current home.
-    fn replica_of(&self, fingerprint: u64, home: usize) -> Option<usize> {
-        let mut ring = self.ring.lock().expect("ring poisoned").clone();
-        ring.remove_shard(home).then(|| ring.shard_for(fingerprint))
-    }
-
-    /// Declares backend `id` dead and drops it from the ring; errors
-    /// instead if it is the last one (nothing left to fail over to).
-    fn retire_or_fail(&self, id: usize) -> Result<(), WireError> {
-        if self.retire_backend(id) {
-            Ok(())
-        } else {
-            Err(no_backends())
-        }
-    }
-
-    fn retire_backend(&self, id: usize) -> bool {
-        let backend = {
-            let backends = self.backends.lock().expect("backends poisoned");
-            backends.get(id).cloned()
-        };
-        let Some(backend) = backend else { return false };
-        let removed = self.ring.lock().expect("ring poisoned").remove_shard(id);
-        if removed && backend.alive.swap(false, Ordering::AcqRel) {
+impl RouterInner {
+    /// Declares backend `id` dead and drops it from the ring, counting it
+    /// lost once however many connections notice; errors instead if it
+    /// is the last one (nothing left to fail over to).
+    fn retire(&self, id: usize) -> Result<(), WireError> {
+        let mut fleet = self.fleet.lock().expect("fleet poisoned");
+        if fleet.ring.remove_shard(id) {
             self.backends_lost.fetch_add(1, Ordering::Relaxed);
+        } else if fleet.ring.shard_ids().contains(&id) {
+            return Err(no_backends());
         }
-        removed
-    }
-
-    fn drop_route(&self, alias: &str) -> bool {
-        let route = self.routes.lock().expect("routes poisoned").remove(alias);
-        let Some(route) = route else { return false };
-        // Release the alias and its backend session (one best-effort
-        // `close`; a backend that misses it idles the session out by TTL).
-        let backends = self.backends.lock().expect("backends poisoned");
-        if let Some(backend) = backends.get(route.backend).cloned() {
-            drop(backends);
-            backend.client.lock().expect("client poisoned").close(alias);
-        }
-        true
+        Ok(())
     }
 
     /// Ships `<fingerprint>.snap` from one backend's store to another's,
@@ -565,11 +631,8 @@ impl RouterInner {
     /// receiving node recompiles instead of warming.
     fn ship(&self, fingerprint: u64, from: usize, to: usize) {
         let (src, dst) = {
-            let backends = self.backends.lock().expect("backends poisoned");
-            (backends.get(from).cloned(), backends.get(to).cloned())
-        };
-        let (Some(src), Some(dst)) = (src, dst) else {
-            return;
+            let fleet = self.fleet.lock().expect("fleet poisoned");
+            (fleet.backends[from].clone(), fleet.backends[to].clone())
         };
         let (Some(src), Some(dst)) = (&src.store, &dst.store) else {
             return;
@@ -602,97 +665,11 @@ impl RouterInner {
         Ok(PreparedInstance::instance_fingerprint(&nfa, length))
     }
 
-    /// `stats` over the cluster: per-field sums of every live backend's
-    /// `server` and `engine` sections, one `shards` row per backend
-    /// (`id` = backend index, engine totals as that node reports them),
-    /// plus a `router` section with the ring counters. A backend that
-    /// fails the fan-out is retired exactly as on the request path.
-    fn op_stats(&self) -> Result<Vec<(String, Json)>, WireError> {
-        let mut server_totals: Vec<(String, Json)> = Vec::new();
-        let mut engine_totals: Vec<(String, Json)> = Vec::new();
-        let mut shards: Vec<Json> = Vec::new();
-        for (id, response) in self.fan_out(|client| client.server_stats())? {
-            sum_fields(&mut server_totals, response.get("server"));
-            sum_fields(&mut engine_totals, response.get("engine"));
-            let mut row = vec![("id".to_string(), Json::num(id as f64))];
-            sum_fields(&mut row, response.get("engine"));
-            shards.push(Json::Obj(row));
-        }
-        let stats = self.router_stats_json();
-        Ok(vec![
-            ("server".to_string(), Json::Obj(server_totals)),
-            ("engine".to_string(), Json::Obj(engine_totals)),
-            ("shards".to_string(), Json::Arr(shards)),
-            ("router".to_string(), stats),
-        ])
-    }
-
-    /// `health` over the cluster: `ok` only if every live backend reports
-    /// `ok`; `queued` / `queue_capacity` / `sessions_open` sum;
-    /// `retry_after_ms` is the fleet maximum (the safe wait).
-    fn op_health(&self) -> Result<Vec<(String, Json)>, WireError> {
-        let mut status = "ok";
-        let mut queued = 0.0;
-        let mut capacity = 0.0;
-        let mut sessions = 0.0;
-        let mut retry_after: f64 = 0.0;
-        for (_, response) in self.fan_out(|client| client.health())? {
-            if response.get("status").and_then(Json::as_str) != Some("ok") {
-                status = "saturated";
-            }
-            let num = |key: &str| match response.get(key) {
-                Some(Json::Num(n)) => *n,
-                _ => 0.0,
-            };
-            queued += num("queued");
-            capacity += num("queue_capacity");
-            sessions += num("sessions_open");
-            retry_after = retry_after.max(num("retry_after_ms"));
-        }
-        Ok(vec![
-            ("status".to_string(), Json::str(status)),
-            ("queued".to_string(), Json::num(queued)),
-            ("queue_capacity".to_string(), Json::num(capacity)),
-            ("sessions_open".to_string(), Json::num(sessions)),
-            ("retry_after_ms".to_string(), Json::num(retry_after)),
-        ])
-    }
-
-    /// Runs `op` once per live backend, retiring any that exhaust their
-    /// retry budget; errors only when none are left.
-    fn fan_out<F>(&self, op: F) -> Result<Vec<(usize, Json)>, WireError>
-    where
-        F: Fn(&mut Client) -> Result<Json, ClientError>,
-    {
-        let candidates: Vec<(usize, Arc<Backend>)> = {
-            let ring = self.ring.lock().expect("ring poisoned");
-            let backends = self.backends.lock().expect("backends poisoned");
-            ring.shard_ids()
-                .iter()
-                .filter_map(|&id| backends.get(id).map(|b| (id, b.clone())))
-                .collect()
-        };
-        let mut results = Vec::new();
-        for (id, backend) in candidates {
-            let mut client = backend.client.lock().expect("client poisoned");
-            match op(&mut client) {
-                Ok(response) => results.push((id, response)),
-                Err(ClientError::Exhausted { .. }) => {
-                    drop(client);
-                    self.retire_or_fail(id)?;
-                }
-                Err(error) => return Err(wire_client_error(error)),
-            }
-        }
-        if results.is_empty() {
-            return Err(no_backends());
-        }
-        self.forwarded.fetch_add(1, Ordering::Relaxed);
-        Ok(results)
-    }
-
     fn router_stats_json(&self) -> Json {
-        let backends_alive = self.ring.lock().expect("ring poisoned").len();
+        let (backends_alive, backends_total) = {
+            let fleet = self.fleet.lock().expect("fleet poisoned");
+            (fleet.ring.len(), fleet.backends.len())
+        };
         let stat = |counter: &AtomicU64| Json::num(counter.load(Ordering::Relaxed) as f64);
         Json::Obj(vec![
             (
@@ -701,7 +678,7 @@ impl RouterInner {
             ),
             (
                 "backends_total".to_string(),
-                Json::num(self.backends.lock().expect("backends poisoned").len() as f64),
+                Json::num(backends_total as f64),
             ),
             ("forwarded".to_string(), stat(&self.forwarded)),
             ("failovers".to_string(), stat(&self.failovers)),
@@ -731,6 +708,13 @@ fn sum_fields(acc: &mut Vec<(String, Json)>, obj: Option<&Json>) {
     }
 }
 
+fn unknown_session(session: &str) -> WireError {
+    WireError::new(
+        ErrorCode::UnknownSession,
+        format!("no session {session:?} on this connection"),
+    )
+}
+
 fn no_backends() -> WireError {
     WireError::new(ErrorCode::Internal, "no live backends in the ring")
 }
@@ -753,6 +737,15 @@ mod tests {
     use super::*;
     use crate::engine::{EngineConfig, RouterConfig};
     use crate::serve::{ServeConfig, Server};
+    use std::collections::HashSet;
+
+    impl Router {
+        /// The ring's current home for `fingerprint`.
+        fn home_of(&self, fingerprint: u64) -> usize {
+            let fleet = self.inner.fleet.lock().unwrap();
+            fleet.ring.shard_for(fingerprint)
+        }
+    }
 
     /// Deterministic engine config shared by every node (and the
     /// single-node references): FPRAS forced, fixed seed.
@@ -860,16 +853,8 @@ mod tests {
         let placed: HashSet<usize> = SPECS
             .iter()
             .map(|(pattern, length)| {
-                router
-                    .inner
-                    .home_of(
-                        router
-                            .inner
-                            .fingerprint_of(&spec(pattern), *length)
-                            .unwrap(),
-                    )
-                    .unwrap()
-                    .0
+                let fingerprint = router.inner.fingerprint_of(&spec(pattern), *length);
+                router.home_of(fingerprint.unwrap())
             })
             .collect();
         assert!(placed.len() > 1, "all specs landed on one backend");
@@ -993,7 +978,7 @@ mod tests {
         pages.push(client.enumerate_page("job", Some(2)).unwrap().encode());
 
         // Kill the session's home mid-stream.
-        let home = router.inner.home_of(fingerprint).unwrap().0;
+        let home = router.home_of(fingerprint);
         let (server, mut handle) = nodes.remove(home);
         handle.shutdown();
         server.shutdown();
@@ -1089,6 +1074,54 @@ mod tests {
             again[0].encode()
         );
         client.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
+    /// Front sessions are connection-scoped: another connection naming
+    /// this one's alias gets `unknown-session` for every verb, and the
+    /// session and its cursor stay as they were.
+    #[test]
+    fn another_connections_session_is_unknown_and_untouched() {
+        let (nodes, _router, front) = cluster(2);
+        let mut owner = Client::new(front.addr().to_string(), quick_client());
+        let mut other = Client::new(front.addr().to_string(), quick_client());
+        let prepared = owner
+            .pipeline_raw(&[r#"{"op":"prepare","regex":"(0|1)*11","length":6}"#])
+            .unwrap();
+        let session = prepared[0].get("session").and_then(Json::as_str).unwrap();
+        assert_eq!(session, "r1");
+        let replies = other
+            .pipeline_raw(&[
+                format!(r#"{{"op":"count","session":"{session}"}}"#),
+                format!(r#"{{"op":"enumerate","session":"{session}","page_size":2}}"#),
+                format!(r#"{{"op":"close","session":"{session}"}}"#),
+            ])
+            .unwrap();
+        for reply in &replies {
+            assert_eq!(
+                reply.get("code").and_then(Json::as_str),
+                Some("unknown-session"),
+                "{}",
+                reply.encode()
+            );
+        }
+        let page = owner
+            .pipeline_raw(&[format!(
+                r#"{{"op":"enumerate","session":"{session}","page_size":2}}"#
+            )])
+            .unwrap();
+        assert_eq!(
+            page[0].get("rank").and_then(Json::as_u64),
+            Some(2),
+            "the owner's cursor moved: {}",
+            page[0].encode()
+        );
+        owner.bye();
+        other.bye();
         drop(front);
         for (server, handle) in nodes {
             drop(handle);

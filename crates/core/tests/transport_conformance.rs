@@ -428,6 +428,51 @@ fn half_closed_batch_with_unterminated_final_line_is_fully_answered() {
     }
 }
 
+/// The longest request line either transport accepts, its newline
+/// included (`serve::conn::MAX_LINE_BYTES`).
+const MAX_LINE_BYTES: usize = 4 << 20;
+
+#[test]
+fn a_request_line_past_the_cap_closes_the_connection_on_both_transports() {
+    // 4 MiB + 1 byte without a newline: each transport must drop the
+    // connection dirty, with no reply, and keep serving new ones.
+    let mut outcomes = Vec::new();
+    for transport in transports() {
+        let (server, mut handle) = spawn(transport);
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        // The server may close (and reset) before the write finishes.
+        let _ = stream.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]);
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => reply.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("{transport:?}: {e}"),
+            }
+        }
+        drop(stream);
+        let mut wire = Wire::connect(handle.addr());
+        let hello = wire.rpc(r#"{"op":"hello","proto":1}"#);
+        assert!(hello.contains(r#""ok":true"#), "{transport:?}: {hello}");
+        drop(wire);
+        handle.shutdown();
+        let resets = server.stats().resets_survived;
+        server.shutdown();
+        assert!(
+            reply.is_empty(),
+            "{transport:?} replied to an over-long line"
+        );
+        assert_eq!(resets, 1, "{transport:?}: the close must be dirty");
+        outcomes.push((reply, resets));
+    }
+    assert!(outcomes.windows(2).all(|pair| pair[0] == pair[1]));
+}
+
 #[test]
 fn injected_job_panics_respawn_workers_and_the_pool_keeps_serving() {
     // The pool.rs respawn pin, end to end: with queued-job panics

@@ -76,6 +76,13 @@ printf '{"op":"prepare","regex":"(0|1)*11","length":6}\n' >&9
 IFS= read -r PREP <&9
 echo "$PREP" | grep -q '"ok":true'
 SESSION="$(printf '%s' "$PREP" | grep -o '"session":"[^"]*"' | cut -d'"' -f4)"
+# Front sessions are connection-scoped: a second connection naming the
+# first one's session is refused.
+exec 8<>/dev/tcp/127.0.0.1/17610
+printf '{"op":"count_exact","session":"%s"}\n{"op":"bye"}\n' "$SESSION" >&8
+IFS= read -r FOREIGN <&8
+exec 8<&-
+echo "$FOREIGN" | grep -q '"unknown-session"'
 printf '{"op":"count_exact","session":"%s"}\n{"op":"bye"}\n' "$SESSION" >&9
 IFS= read -r COUNT <&9
 exec 9<&-
