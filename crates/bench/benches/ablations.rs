@@ -1,4 +1,4 @@
-//! B3–B7 timing: ablation cost/benefit.
+//! B3/B4 timing: ablation cost/benefit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_automata::families::ambiguity_gap_nfa;
@@ -37,24 +37,5 @@ fn exact_handling(c: &mut Criterion) {
     group.finish();
 }
 
-fn membership_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablations/b6-membership");
-    group.sample_size(10);
-    let nfa = ambiguity_gap_nfa(4);
-    for (name, params) in [
-        ("cached", FprasParams::quick()),
-        (
-            "recomputed",
-            FprasParams::quick().with_recomputed_membership(),
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| run_fpras(&nfa, 12, params, &mut rng).unwrap());
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, k_sweep, exact_handling, membership_cache);
+criterion_group!(benches, k_sweep, exact_handling);
 criterion_main!(benches);

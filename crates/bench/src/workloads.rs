@@ -88,10 +88,10 @@ pub fn scaling_by_m(m: usize) -> Workload {
     }
 }
 
-/// The fixed instance the `BENCH_fpras.json` speedup trajectory is measured
-/// on: an overlap-heavy language (every witness is reachable at several
-/// states, so the union estimates genuinely sample) at a length where the
-/// backward sampler dominates the wall clock. Fixed family + fixed `k`
+/// The fixed instance the `BENCH_fpras.json` E3 and E27 trajectory is
+/// measured on: an overlap-heavy language (every witness is reachable at
+/// several states, so the union estimates genuinely sample) at a length where
+/// the backward sampler dominates the wall clock. Fixed family + fixed `k`
 /// across PRs, so snapshot-to-snapshot ratios are meaningful.
 pub fn speedup_instance() -> Workload {
     Workload {

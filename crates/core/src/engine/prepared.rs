@@ -78,7 +78,7 @@ pub struct PreparedInstance {
 /// of [`FprasParams`] that can change a computed estimate or sample
 /// (`threads` is excluded — the estimates are bit-identical at any thread
 /// count by construction, pinned by the equivalence suite).
-type SketchKey = (u64, usize, usize, u64, bool, bool, bool, bool);
+type SketchKey = (u64, usize, usize, u64, bool);
 
 fn sketch_key(params: &FprasParams, seed: u64) -> SketchKey {
     (
@@ -87,9 +87,6 @@ fn sketch_key(params: &FprasParams, seed: u64) -> SketchKey {
         params.attempts,
         params.rejection_constant.to_bits(),
         params.exact_handling,
-        params.recompute_membership,
-        params.weight_cache,
-        params.quadratic_estimator,
     )
 }
 

@@ -274,13 +274,7 @@ impl SnapshotStore {
                 return Ok(false);
             }
         }
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = frame(fingerprint, checksum, &payload);
         let tmp = self.dir.join(format!("{fingerprint:016x}.tmp"));
         self.publish(&tmp, &path, &bytes)?;
         // Only a durable file marks the checksum as saved — a failed write
@@ -457,6 +451,19 @@ impl SnapshotStore {
     }
 }
 
+/// The file bytes of a snapshot: the header, then `payload`, whose FNV-1a
+/// checksum is `checksum`.
+fn frame(fingerprint: u64, checksum: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&fingerprint.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 /// `fsync` a directory so a just-completed rename inside it is durable.
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     // lsc-analyze: allow(unrouted-io) reason="called only from publish, downstream of the SnapshotWrite fault decision"
@@ -528,6 +535,14 @@ const FLAG_COMPLETIONS: u8 = 1 << 3;
 const FLAG_DET_COUNT: u8 = 1 << 4;
 /// Version-2 section: the cached FPRAS sketch plus its `(params, seed)` key.
 const FLAG_SKETCH: u8 = 1 << 5;
+
+/// Sketch parameter flag bits. Bit 0 is `exact_handling`. Bits 1–3 held
+/// three value-preserving hot-path switches that are gone; writers set bit
+/// 2, as every production build did, so files stay byte-identical, and
+/// readers ignore all three. Bits 4–7 must be clear.
+const PARAM_EXACT_HANDLING: u8 = 1 << 0;
+const PARAM_ALWAYS_SET: u8 = 1 << 2;
+const PARAM_KNOWN: u8 = 0b1111;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -609,12 +624,7 @@ fn encode_sketch(out: &mut Vec<u8>, seed: u64, state: &FprasState) {
     put_u64(out, p.k as u64);
     put_u64(out, p.attempts as u64);
     put_u64(out, p.rejection_constant.to_bits());
-    out.push(
-        u8::from(p.exact_handling)
-            | (u8::from(p.recompute_membership) << 1)
-            | (u8::from(p.weight_cache) << 2)
-            | (u8::from(p.quadratic_estimator) << 3),
-    );
+    out.push((u8::from(p.exact_handling) * PARAM_EXACT_HANDLING) | PARAM_ALWAYS_SET);
     put_u64(out, p.threads as u64);
     put_bigfloat(out, state.estimate());
     let data = state.vertex_data();
@@ -673,6 +683,13 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| SnapshotError::Corrupt("implausible length".into()))
     }
 
+    /// How many of `count` claimed items, each encoded in at least
+    /// `min_bytes`, the unread payload can hold: the most a decoder may
+    /// reserve before the items themselves prove the claim.
+    fn room_for(&self, count: usize, min_bytes: usize) -> usize {
+        count.min((self.bytes.len() - self.at) / min_bytes)
+    }
+
     fn bytes_field(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len()?;
         self.take(n)
@@ -708,7 +725,7 @@ fn decode_sketch(
         return Err(corrupt("invalid sketch rejection constant"));
     }
     let param_flags = r.u8()?;
-    if param_flags & !0b1111 != 0 {
+    if param_flags & !PARAM_KNOWN != 0 {
         return Err(corrupt("unknown sketch parameter flags"));
     }
     let threads = usize::try_from(r.u64()?).map_err(|_| corrupt("implausible sketch threads"))?;
@@ -719,16 +736,18 @@ fn decode_sketch(
         k,
         attempts,
         rejection_constant,
-        exact_handling: param_flags & 1 != 0,
-        recompute_membership: param_flags & 2 != 0,
+        exact_handling: param_flags & PARAM_EXACT_HANDLING != 0,
         threads,
-        weight_cache: param_flags & 4 != 0,
-        quadratic_estimator: param_flags & 8 != 0,
     };
     let final_r = r.bigfloat()?;
     let num_vertices = r.len()?;
+    // The table indexes DAG vertices, and the unrolled DAG has at most
+    // `(n + 1) · m` of them.
+    if num_vertices > length.saturating_add(1).saturating_mul(nfa.num_states()) {
+        return Err(corrupt("sketch table larger than the unrolled DAG"));
+    }
     let alphabet_size = nfa.alphabet().len() as u32;
-    let mut data = Vec::with_capacity(num_vertices);
+    let mut data = Vec::with_capacity(r.room_for(num_vertices, 1));
     for _ in 0..num_vertices {
         match r.u8()? {
             0 => data.push(None),
@@ -740,7 +759,7 @@ fn decode_sketch(
                 };
                 let estimate = r.bigfloat()?;
                 let num_samples = r.len()?;
-                let mut samples = Vec::with_capacity(num_samples);
+                let mut samples = Vec::with_capacity(r.room_for(num_samples, 8));
                 for _ in 0..num_samples {
                     let word_len = r.len()?;
                     if word_len > length {
@@ -822,7 +841,7 @@ fn decode(bytes: &[u8]) -> Result<(Arc<PreparedInstance>, u64), SnapshotError> {
     };
     let completions = if flags & FLAG_COMPLETIONS != 0 {
         let n = r.len()?;
-        let mut table = Vec::with_capacity(n);
+        let mut table = Vec::with_capacity(r.room_for(n, 8));
         for _ in 0..n {
             table.push(BigNat::from_le_bytes(r.bytes_field()?));
         }
@@ -1203,5 +1222,106 @@ mod tests {
         assert_eq!(warm.snapshot_parts().1, Some(cold.ambiguity()));
         assert!(!warm.is_unambiguous());
         std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// A warmed instance with a sampled sketch, its v2 payload, and the
+    /// payload offset of the sketch's parameter-flag byte.
+    fn sketch_payload() -> (Arc<PreparedInstance>, Vec<u8>, usize) {
+        let inst = warmed_instance();
+        let mut params = FprasParams::quick();
+        params.k = 4;
+        assert!(inst.fpras_sketch(params, 0xABCD).unwrap().vertex_stats().1 > 0);
+        let payload = encode_payload(&inst);
+        let mut sketch = Vec::new();
+        let (seed, state) = inst.sketch_snapshot().unwrap();
+        encode_sketch(&mut sketch, seed, state);
+        // The sketch section closes the payload; its flag byte follows the
+        // seed, k, attempts and rejection-constant words.
+        let at = payload.len() - sketch.len() + 32;
+        (inst, payload, at)
+    }
+
+    /// `payload` as a snapshot file of `inst`, checksum recomputed.
+    fn reframed(inst: &PreparedInstance, payload: &[u8]) -> Vec<u8> {
+        frame(inst.fingerprint(), fnv64(payload), payload)
+    }
+
+    /// What a sketch answers: its estimate and eight witness draws.
+    fn sketch_answers(state: &FprasState) -> ((u64, i64), Vec<Option<Word>>) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut sampler = state.witness_sampler();
+        let draws = (0..8).map(|_| sampler.sample(&mut rng)).collect();
+        (state.estimate().to_raw_parts(), draws)
+    }
+
+    #[test]
+    fn legacy_param_flag_bits_are_ignored_and_high_bits_rejected() {
+        let (inst, payload, at) = sketch_payload();
+        assert_eq!(
+            payload[at],
+            PARAM_EXACT_HANDLING | PARAM_ALWAYS_SET,
+            "the byte every production build wrote"
+        );
+        let (seed, cold) = inst.sketch_snapshot().unwrap();
+        let params = *cold.params();
+        let want = sketch_answers(cold);
+        for flags in 0..=u8::MAX {
+            let mut bytes = payload.clone();
+            bytes[at] = flags;
+            let loaded = decode(&reframed(&inst, &bytes));
+            if flags & !PARAM_KNOWN != 0 {
+                assert!(
+                    matches!(loaded, Err(SnapshotError::Corrupt(_))),
+                    "flags {flags:#010b} must be rejected"
+                );
+                continue;
+            }
+            let (warm, _) = loaded.unwrap_or_else(|e| panic!("flags {flags:#010b}: {e}"));
+            if flags & PARAM_EXACT_HANDLING == 0 {
+                continue; // a different sketch key; B4 is a real parameter
+            }
+            // Served under the production key, with the same answers.
+            let state = warm.fpras_sketch(params, seed).unwrap();
+            assert!(Arc::ptr_eq(&state, warm.sketch_snapshot().unwrap().1));
+            assert_eq!(sketch_answers(&state), want, "flags {flags:#010b}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Truncated, byte-flipped and garbage-spliced sketch snapshots,
+        /// each re-checksummed so the decoder parses them: every one loads
+        /// or fails with a typed error, and a loaded one can be sampled.
+        #[test]
+        fn mangled_sketch_snapshots_load_or_fail_typed(
+            kind in 0u8..4,
+            at in 0usize..1 << 20,
+            xor in 1u32..256,
+            junk in proptest::collection::vec(proptest::any::<u8>(), 1..24),
+        ) {
+            let (inst, payload, _) = sketch_payload();
+            let at = at % payload.len();
+            let mut bytes = payload.clone();
+            match kind {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= xor as u8,
+                2 => drop(bytes.splice(at..at, junk)),
+                _ => {
+                    let end = (at + junk.len()).min(bytes.len());
+                    drop(bytes.splice(at..end, junk));
+                }
+            }
+            match decode(&reframed(&inst, &bytes)) {
+                Ok((warm, _)) => {
+                    if let Some((_, state)) = warm.sketch_snapshot() {
+                        sketch_answers(state);
+                    }
+                }
+                Err(SnapshotError::Corrupt(_)) => {}
+                Err(e) => proptest::prop_assert!(false, "untyped failure: {e}"),
+            }
+        }
     }
 }

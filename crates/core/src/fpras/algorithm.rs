@@ -136,8 +136,8 @@ impl FprasState {
 
     /// Approximate bytes of the weight memo the state retains for its
     /// witness samplers, as of the last sampler drop — zero until one is
-    /// dropped, and always zero when the weight memo is disabled. Not part
-    /// of [`FprasState::approx_bytes`], which measures the immutable sketch.
+    /// dropped. Not part of [`FprasState::approx_bytes`], which measures the
+    /// immutable sketch.
     pub fn retained_memo_bytes(&self) -> usize {
         self.idle_bytes.load(Ordering::Relaxed)
     }
@@ -186,16 +186,33 @@ impl FprasState {
     /// final vertex. `None` is a *rejection* (retry), not emptiness — check
     /// [`FprasState::is_empty_language`] first.
     pub fn sample_witness<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Word> {
-        // One walk visits every member set at most once (each lives in a
-        // distinct layer), so a per-call memo cache could only be built and
-        // dropped — run the one-shot draw uncached. Value-preserving either
-        // way; only [`FprasState::witness_sampler`] reuse makes caching pay.
-        self.witness_sampler_with_cache(false).sample(rng)
+        // A one-shot walk runs uncached (see `SamplerScratch::new`); only
+        // [`FprasState::witness_sampler`] reuse makes the memo pay.
+        let mut scratch = SamplerScratch::for_ctx(&self.sample_ctx(), false);
+        self.draw(&mut scratch, self.phi0(), rng)
     }
 
     /// The sampler view over this state's sketches.
     fn sample_ctx(&self) -> SampleCtx<'_> {
-        SampleCtx::new(&self.dag, &self.data, &self.nfa, &self.params)
+        SampleCtx {
+            dag: &self.dag,
+            data: &self.data,
+            nfa: &self.nfa,
+        }
+    }
+
+    /// One walk from the accepting set at `phi0` on `scratch`.
+    fn draw<R: Rng + ?Sized>(
+        &self,
+        scratch: &mut SamplerScratch,
+        phi0: BigFloat,
+        rng: &mut R,
+    ) -> Option<Word> {
+        if self.dag.is_empty() {
+            return None;
+        }
+        let (accepting, n) = (self.dag.accepting(), self.dag.word_length());
+        sample_once(&self.sample_ctx(), scratch, accepting, n, phi0, rng)
     }
 
     /// Ablation B1: sampling with the final \[JVV86\] rejection step disabled.
@@ -206,9 +223,8 @@ impl FprasState {
         if self.dag.is_empty() {
             return None;
         }
-        let mut ctx = self.sample_ctx();
-        ctx.weight_cache = false; // one-shot walk: see sample_witness
-        let mut scratch = SamplerScratch::for_ctx(&ctx);
+        let ctx = self.sample_ctx();
+        let mut scratch = SamplerScratch::for_ctx(&ctx, false);
         sample_once_no_rejection(
             &ctx,
             &mut scratch,
@@ -228,18 +244,12 @@ impl FprasState {
     /// The scratch comes from the state's idle slot when no other live
     /// sampler holds it (a fresh one otherwise), and goes back to the slot
     /// when the sampler is dropped, so the memo outlives the request that
-    /// built it. Under the B9 ablation (`weight_cache = false`) the sampler
-    /// uses a fresh scratch and retains nothing.
+    /// built it.
     pub fn witness_sampler(&self) -> WitnessSampler<'_> {
-        self.witness_sampler_with_cache(self.params.weight_cache)
-    }
-
-    fn witness_sampler_with_cache(&self, use_cache: bool) -> WitnessSampler<'_> {
         WitnessSampler {
             state: self,
-            scratch: self.take_scratch(use_cache),
+            scratch: self.take_scratch(),
             phi0: self.phi0(),
-            use_cache,
         }
     }
 
@@ -253,15 +263,11 @@ impl FprasState {
         }
     }
 
-    /// A sampler's scratch: the idle one if `retained` and no live sampler
-    /// holds it, a fresh one otherwise.
-    fn take_scratch(&self, retained: bool) -> SamplerScratch {
-        let idle = if retained {
-            self.idle.lock().ok().and_then(|mut slot| slot.take())
-        } else {
-            None
-        };
-        idle.unwrap_or_else(|| SamplerScratch::for_ctx(&self.sample_ctx()))
+    /// A sampler's scratch: the idle one if no live sampler holds it, a
+    /// fresh memoizing one otherwise.
+    fn take_scratch(&self) -> SamplerScratch {
+        let idle = self.idle.lock().ok().and_then(|mut slot| slot.take());
+        idle.unwrap_or_else(|| SamplerScratch::for_ctx(&self.sample_ctx(), true))
     }
 
     /// Takes a dropped sampler's scratch back into the idle slot, keeping
@@ -282,20 +288,6 @@ impl FprasState {
             .store(scratch.memo_bytes(), Ordering::Relaxed);
         *slot = Some(scratch);
     }
-
-    /// Ablation B2: the final estimate *without* the intersection correction —
-    /// a plain sum `Σ_f R(f)` over accepting vertices, overcounting witnesses
-    /// accepted at several states. Experiment B2 contrasts it with
-    /// [`FprasState::estimate`].
-    pub fn estimate_no_dedup(&self) -> BigFloat {
-        let mut total = BigFloat::zero();
-        for &f in self.dag.accepting() {
-            if let Some(d) = &self.data[f] {
-                total = total.add(d.r);
-            }
-        }
-        total
-    }
 }
 
 /// Amortized repeated witness sampling over a built [`FprasState`]: see
@@ -306,34 +298,18 @@ pub struct WitnessSampler<'a> {
     state: &'a FprasState,
     scratch: SamplerScratch,
     phi0: BigFloat,
-    use_cache: bool,
 }
 
 impl WitnessSampler<'_> {
     /// One Las-Vegas attempt: `None` is a rejection (retry), not emptiness.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Word> {
-        let state = self.state;
-        if state.dag.is_empty() {
-            return None;
-        }
-        let mut ctx = state.sample_ctx();
-        ctx.weight_cache = ctx.weight_cache && self.use_cache;
-        sample_once(
-            &ctx,
-            &mut self.scratch,
-            state.dag.accepting(),
-            state.dag.word_length(),
-            self.phi0,
-            rng,
-        )
+        self.state.draw(&mut self.scratch, self.phi0, rng)
     }
 }
 
 impl Drop for WitnessSampler<'_> {
     fn drop(&mut self) {
-        if self.use_cache {
-            self.state.return_scratch(std::mem::take(&mut self.scratch));
-        }
+        self.state.return_scratch(std::mem::take(&mut self.scratch));
     }
 }
 
@@ -351,11 +327,10 @@ pub struct SharedWitnessSampler {
 
 impl SharedWitnessSampler {
     /// A sampler over a shared sketch, with the scratch (and weight memo
-    /// cache, per the state's params) kept alive across draws. Takes and
-    /// returns the state's idle scratch exactly as
-    /// [`FprasState::witness_sampler`] does.
+    /// cache) kept alive across draws. Takes and returns the state's idle
+    /// scratch exactly as [`FprasState::witness_sampler`] does.
     pub fn new(state: Arc<FprasState>) -> Self {
-        let scratch = state.take_scratch(state.params.weight_cache);
+        let scratch = state.take_scratch();
         let phi0 = state.phi0();
         SharedWitnessSampler {
             state,
@@ -371,26 +346,13 @@ impl SharedWitnessSampler {
 
     /// One Las-Vegas attempt: `None` is a rejection (retry), not emptiness.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Word> {
-        if self.state.dag.is_empty() {
-            return None;
-        }
-        let ctx = self.state.sample_ctx();
-        sample_once(
-            &ctx,
-            &mut self.scratch,
-            self.state.dag.accepting(),
-            self.state.dag.word_length(),
-            self.phi0,
-            rng,
-        )
+        self.state.draw(&mut self.scratch, self.phi0, rng)
     }
 }
 
 impl Drop for SharedWitnessSampler {
     fn drop(&mut self) {
-        if self.state.params.weight_cache {
-            self.state.return_scratch(std::mem::take(&mut self.scratch));
-        }
+        self.state.return_scratch(std::mem::take(&mut self.scratch));
     }
 }
 
@@ -423,6 +385,19 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
     nfa: Arc<Nfa>,
     dag: Arc<UnrolledDag>,
     params: FprasParams,
+    rng: &mut R,
+) -> Result<FprasState, FprasError> {
+    build_sketch(nfa, dag, params, true, rng)
+}
+
+/// The body of [`run_fpras_on`]; `memo` says whether the build's worker
+/// scratches memoize their walks. Production always does; the memo changes
+/// no value, which a unit test checks by building with `memo` off.
+fn build_sketch<R: Rng + ?Sized>(
+    nfa: Arc<Nfa>,
+    dag: Arc<UnrolledDag>,
+    params: FprasParams,
+    memo: bool,
     rng: &mut R,
 ) -> Result<FprasState, FprasError> {
     let n = dag.word_length();
@@ -490,7 +465,7 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
     // ℓ-1 sketches, which never change once written, so entries stay valid
     // for the whole run.
     let mut workers: Vec<SamplerScratch> = (0..params.threads.max(1))
-        .map(|_| SamplerScratch::new(nfa.num_states(), dag.alphabet_size()))
+        .map(|_| SamplerScratch::new(nfa.num_states(), dag.alphabet_size(), memo))
         .collect();
     for t in 1..=n {
         let pending: Vec<NodeId> = dag
@@ -545,10 +520,13 @@ pub fn run_fpras_on<R: Rng + ?Sized>(
     }
 
     // The virtual final vertex: its single predecessor partition is the
-    // accepting set, so R(s_final) is one union estimate — through the same
-    // ctx dispatch as every per-vertex estimate.
+    // accepting set, so R(s_final) is one union estimate.
     let final_r = {
-        let ctx = SampleCtx::new(&dag, &data, nfa_ref, &params);
+        let ctx = SampleCtx {
+            dag: &dag,
+            data: &data,
+            nfa: nfa_ref,
+        };
         workers[0].estimate(&ctx, dag.accepting())
     };
     Ok(FprasState::from_parts(nfa, dag, params, data, final_r))
@@ -573,7 +551,7 @@ fn build_vertex(
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let state = dag.node_info(v).1;
-    let ctx = SampleCtx::new(dag, data, nfa, params);
+    let ctx = SampleCtx { dag, data, nfa };
     let r = estimate_vertex(&ctx, scratch, v);
     if r.is_zero() {
         return Err(FprasError::ZeroEstimate { layer: t, state });
@@ -821,28 +799,58 @@ mod tests {
         assert_eq!(exact, 1, "only the start vertex is exact under B4");
         assert!(sampled > 0);
         assert!(rel_err(&state.estimate(), truth) < 0.25);
-        // B6: recomputing membership must give identical estimates for the
-        // same seed (it is the same computation, just slower).
-        let mut rng_a = StdRng::seed_from_u64(51);
-        let mut rng_b = StdRng::seed_from_u64(51);
-        let fast = run_fpras(&nfa, len, FprasParams::quick(), &mut rng_a).unwrap();
-        let slow = run_fpras(
-            &nfa,
-            len,
-            FprasParams::quick().with_recomputed_membership(),
-            &mut rng_b,
-        )
-        .unwrap();
-        assert_eq!(fast.estimate().to_f64(), slow.estimate().to_f64());
         // B1: the unrejected sampler always returns on nonempty languages.
         for _ in 0..20 {
-            assert!(fast.sample_witness_no_rejection(&mut rng).is_some());
+            assert!(state.sample_witness_no_rejection(&mut rng).is_some());
         }
-        // B2: the undeduped final estimate can only be ≥ the corrected one.
-        assert!(
-            fast.estimate_no_dedup().partial_cmp_total(&fast.estimate())
-                != std::cmp::Ordering::Less
-        );
+    }
+
+    /// The sketch build with and without the weight memo in its worker
+    /// scratches: equal estimates and equal sample tables, vertex for vertex,
+    /// at one and two threads.
+    #[test]
+    fn sketch_builds_with_and_without_weight_memo_agree() {
+        let ab = Alphabet::binary();
+        let families = [
+            ("ambiguity-gap", ambiguity_gap_nfa(4), 10),
+            ("blowup", blowup_nfa(5), 12),
+            ("universal", universal_nfa(Alphabet::binary()), 8),
+            (
+                "contains-101",
+                Regex::parse("(0|1)*101(0|1)*", &ab).unwrap().compile(),
+                11,
+            ),
+        ];
+        for (name, nfa, n) in families {
+            let mut params = FprasParams::quick();
+            params.k = 16;
+            let nfa = Arc::new(nfa);
+            let dag = Arc::new(UnrolledDag::build(&nfa, n));
+            for threads in [1usize, 2] {
+                let build = |memo: bool| {
+                    let mut rng = StdRng::seed_from_u64(0x5EED);
+                    let params = params.with_threads(threads);
+                    build_sketch(nfa.clone(), dag.clone(), params, memo, &mut rng).unwrap()
+                };
+                let (memo, plain) = (build(true), build(false));
+                assert_eq!(
+                    memo.estimate().to_raw_parts(),
+                    plain.estimate().to_raw_parts(),
+                    "{name}/threads={threads}: estimates differ"
+                );
+                let words = |s: &FprasState| -> Vec<Option<Vec<Word>>> {
+                    s.vertex_data()
+                        .iter()
+                        .map(|d| {
+                            d.as_ref()
+                                .map(|d| d.samples.iter().map(|e| e.word.clone()).collect())
+                        })
+                        .collect()
+                };
+                assert_eq!(words(&memo), words(&plain), "{name}/threads={threads}");
+                assert!(memo.vertex_stats().1 > 0, "{name}: no sampled vertex");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! FPRAS tuning knobs.
+//! FPRAS parameters: the sample and retry budgets, the rejection constant,
+//! the B4 base-case switch, and the worker count. Every field but `threads`
+//! can change a computed value; the hot-path kernels have no switches here
+//! (the reference estimators they replaced are test and bench oracles, see
+//! [`crate::fpras::estimate_union_quadratic`]).
 
 use lsc_arith::BigFloat;
 
@@ -27,27 +31,10 @@ pub struct FprasParams {
     /// exactly — the base case of §6.4. Disabling forces sampled sketches
     /// everywhere above layer 0.
     pub exact_handling: bool,
-    /// Ablation B6 (default `false`): recompute the reach set of each stored
-    /// sample on every membership test, instead of using the cached set —
-    /// the paper's per-test breadth-first-search costing, for measuring what
-    /// the cache buys.
-    pub recompute_membership: bool,
     /// Worker threads for the per-layer sampling pass (default 1). Vertices
     /// within a layer are independent, and per-vertex seeds are drawn up
     /// front, so the result is identical at any thread count.
     pub threads: usize,
-    /// Ablation B9 (default `true`): memoize per-member-set partition
-    /// groupings and selection probabilities across the `k × attempts`
-    /// sampler walks of each worker (DESIGN.md §3.6). Disabling recomputes
-    /// the union estimates at every level of every walk — the seed's
-    /// behavior. Caching is per worker and changes no computed value, so
-    /// estimates and samples are bit-identical either way.
-    pub weight_cache: bool,
-    /// Ablation B9 (default `false`): use the seed's quadratic
-    /// membership scan in the union estimator instead of the linear
-    /// prefix-mask scan. Bit-identical output, quadratically more membership
-    /// tests — the pre-optimization baseline for the bench trajectory.
-    pub quadratic_estimator: bool,
 }
 
 impl FprasParams {
@@ -63,10 +50,7 @@ impl FprasParams {
             attempts: 500,
             rejection_constant: (-2.0f64).exp(),
             exact_handling: true,
-            recompute_membership: false,
             threads: 1,
-            weight_cache: true,
-            quadratic_estimator: false,
         }
     }
 
@@ -77,10 +61,7 @@ impl FprasParams {
             attempts: 300,
             rejection_constant: (-2.0f64).exp(),
             exact_handling: true,
-            recompute_membership: false,
             threads: 1,
-            weight_cache: true,
-            quadratic_estimator: false,
         }
     }
 
@@ -95,32 +76,6 @@ impl FprasParams {
     pub fn without_exact_handling(mut self) -> Self {
         self.exact_handling = false;
         self
-    }
-
-    /// Ablation B6: recompute reach sets per membership test.
-    pub fn with_recomputed_membership(mut self) -> Self {
-        self.recompute_membership = true;
-        self
-    }
-
-    /// Ablation B9: disable the per-worker weight memo cache.
-    pub fn without_weight_cache(mut self) -> Self {
-        self.weight_cache = false;
-        self
-    }
-
-    /// Ablation B9: use the seed's quadratic membership scan in the union
-    /// estimator.
-    pub fn with_quadratic_estimator(mut self) -> Self {
-        self.quadratic_estimator = true;
-        self
-    }
-
-    /// The full pre-optimization hot path (quadratic estimator, no weight
-    /// cache): the baseline the `BENCH_fpras.json` speedups are measured
-    /// against, and the oracle side of the equivalence property tests.
-    pub fn baseline(self) -> Self {
-        self.without_weight_cache().with_quadratic_estimator()
     }
 
     /// The paper-faithful rejection constant `e⁻⁴` (Proposition 18), for runs

@@ -32,7 +32,14 @@
 //! * [`SamplerScratch`] owns every buffer the walk needs (current member
 //!   set, per-symbol grouping buckets, weight/probability vectors,
 //!   the estimator's prefix mask), so the steady-state walk allocates only
-//!   the returned word.
+//!   the returned word. Whether its walks use the memo is fixed when it is
+//!   built: the build's workers and the witness samplers memoize, and a
+//!   one-shot draw (`FprasState::sample_witness`) walks uncached.
+//!
+//! Every union estimate, at every walk level and every vertex, is the
+//! packed kernel [`estimate_union_packed`]. The scalar walk and the
+//! quadratic scan in `sketch.rs` are reference oracles that only tests and
+//! the E21 bench call.
 
 use lsc_arith::BigFloat;
 use lsc_automata::unroll::{NodeId, UnrolledDag};
@@ -40,45 +47,13 @@ use lsc_automata::{Nfa, Symbol, Word};
 use rand::Rng;
 use std::collections::HashMap;
 
-use super::params::FprasParams;
-use super::sketch::{
-    estimate_union_packed, estimate_union_quadratic, estimate_union_with_mask, reach_of, MaskArena,
-    SampleEntry, VertexData,
-};
+use super::sketch::{estimate_union_packed, MaskArena, VertexData};
 
 /// Read-only view of the sketches the sampler consults.
 pub(crate) struct SampleCtx<'a> {
     pub dag: &'a UnrolledDag,
     pub data: &'a [Option<VertexData>],
     pub nfa: &'a Nfa,
-    /// Ablation B6: recompute reach sets instead of using the cached ones.
-    pub recompute_membership: bool,
-    /// Ablation B9 (seed baseline): quadratic membership scan in the
-    /// estimator instead of the prefix mask.
-    pub quadratic_estimator: bool,
-    /// Ablation B9: memoize partition weights across walks (default on).
-    pub weight_cache: bool,
-}
-
-impl<'a> SampleCtx<'a> {
-    /// The single place the `FprasParams` knobs are threaded into a sampler
-    /// view — every estimate site (per-vertex, final vertex, witness draws)
-    /// must dispatch identically.
-    pub(crate) fn new(
-        dag: &'a UnrolledDag,
-        data: &'a [Option<VertexData>],
-        nfa: &'a Nfa,
-        params: &FprasParams,
-    ) -> Self {
-        SampleCtx {
-            dag,
-            data,
-            nfa,
-            recompute_membership: params.recompute_membership,
-            quadratic_estimator: params.quadratic_estimator,
-            weight_cache: params.weight_cache,
-        }
-    }
 }
 
 impl SampleCtx<'_> {
@@ -86,39 +61,10 @@ impl SampleCtx<'_> {
         self.dag.node_info(v).1
     }
 
-    /// `x ∈ U(s)` for the NFA state of `s` — cached or recomputed (B6). Used
-    /// by the quadratic estimator path.
-    pub(crate) fn member_of(&self, entry: &SampleEntry, state: usize) -> bool {
-        if self.recompute_membership {
-            reach_of(self.nfa, &entry.word).contains(state)
-        } else {
-            entry.reach.contains(state)
-        }
-    }
-
-    /// `W̃` over `members`, dispatching between the word-level packed kernel
-    /// (default), the scalar prefix-mask walk with recomputed reach sets
-    /// (ablation B6), and the quadratic baseline (B9). All three produce
-    /// bit-identical values; only the membership-test cost differs.
-    pub(crate) fn estimate(&self, members: &[NodeId], arena: &mut MaskArena) -> BigFloat {
-        if self.quadratic_estimator {
-            estimate_union_quadratic(
-                members,
-                self.data,
-                |v| self.state_of(v),
-                |e, q| self.member_of(e, q),
-            )
-        } else if self.recompute_membership {
-            estimate_union_with_mask(
-                members,
-                self.data,
-                arena,
-                |v| self.state_of(v),
-                |e, a| a.intersects(&reach_of(self.nfa, &e.word)),
-            )
-        } else {
-            estimate_union_packed(members, self.data, arena, |v| self.state_of(v))
-        }
+    /// `W̃` over `members`: the packed union kernel, the one estimator every
+    /// estimate site (per-vertex, final vertex, walk levels) calls.
+    fn estimate(&self, members: &[NodeId], arena: &mut MaskArena) -> BigFloat {
+        estimate_union_packed(members, self.data, arena, |v| self.state_of(v))
     }
 }
 
@@ -156,10 +102,15 @@ pub(crate) struct WeightCache {
     /// the cap bounds memory rather than entry count (entries vary from a
     /// few dozen bytes to KBs on wide member sets).
     approx_bytes: usize,
+    /// Insertion stops once `approx_bytes` reaches this:
+    /// [`WeightCache::MAX_BYTES`] for a memoizing scratch, zero for an
+    /// uncached one, whose every level is computed in scratch.
+    cap: usize,
 }
 
 impl WeightCache {
-    /// Insertion stops at this approximate resident size so a long-lived
+    /// A memoizing scratch stops inserting at this approximate resident size
+    /// so a long-lived
     /// sampler (a GEN workload drawing millions of witnesses) cannot grow
     /// memory without bound on automata whose walks keep visiting fresh
     /// member sets. Uncached levels are recomputed — values are identical
@@ -223,8 +174,9 @@ impl WeightCache {
 
 /// Reusable buffers for the backward walk: one per worker, threaded through
 /// every `sample_*` call so the steady-state walk performs no allocation.
-/// The default value is an empty placeholder (no mask, no buckets) that a
-/// walk must never run on.
+/// Whether walks on it use the weight memo is fixed when it is built. The
+/// default value is an empty placeholder (no mask, no buckets) that a walk
+/// must never run on.
 #[derive(Default)]
 pub(crate) struct SamplerScratch {
     /// Current member set `T`. Each level groups its predecessors into
@@ -245,7 +197,11 @@ pub(crate) struct SamplerScratch {
 }
 
 impl SamplerScratch {
-    pub(crate) fn new(num_states: usize, alphabet_size: usize) -> Self {
+    /// Scratch over `num_states` NFA states and `alphabet_size` symbols.
+    /// With `memo` off, no level is stored: right for a one-shot walk, which
+    /// visits each member set once (each lives in a distinct layer), so a
+    /// memo could only be built and dropped.
+    pub(crate) fn new(num_states: usize, alphabet_size: usize, memo: bool) -> Self {
         SamplerScratch {
             members: Vec::new(),
             arena: MaskArena::new(num_states),
@@ -253,14 +209,17 @@ impl SamplerScratch {
             touched: Vec::new(),
             weights: Vec::new(),
             probs: Vec::new(),
-            cache: WeightCache::default(),
+            cache: WeightCache {
+                cap: if memo { WeightCache::MAX_BYTES } else { 0 },
+                ..WeightCache::default()
+            },
         }
     }
 
     /// Scratch sized for `ctx` (mask over the NFA states, one bucket per
     /// alphabet symbol).
-    pub(crate) fn for_ctx(ctx: &SampleCtx<'_>) -> Self {
-        SamplerScratch::new(ctx.nfa.num_states(), ctx.dag.alphabet_size())
+    pub(crate) fn for_ctx(ctx: &SampleCtx<'_>, memo: bool) -> Self {
+        SamplerScratch::new(ctx.nfa.num_states(), ctx.dag.alphabet_size(), memo)
     }
 
     /// `W̃` over `members` using this scratch's mask arena.
@@ -437,14 +396,14 @@ fn sample_inner<R: Rng + ?Sized>(
             return None;
         }
         // Step 3: partition predecessors by symbol and weigh each by W̃_b —
-        // memoized per member set, or recomputed per level under the B9
-        // ablation (and past the memo's byte cap). Both paths produce
+        // memoized per member set, or recomputed per level on an uncached
+        // scratch (and past the memo's byte cap). Both paths produce
         // bit-identical partitions and probabilities and consume the RNG
         // identically (one draw per live level, none on dead levels).
         let mut here = at.take();
-        if ctx.weight_cache && here.is_none() {
+        if here.is_none() {
             here = cache.index.get(members.as_slice()).copied();
-            if here.is_none() && cache.approx_bytes < WeightCache::MAX_BYTES {
+            if here.is_none() && cache.approx_bytes < cache.cap {
                 group_predecessors(ctx, members, buckets, touched);
                 let live = level_probs(ctx, buckets, touched, arena, weights, probs);
                 here = Some(cache.insert(members, live, buckets, touched, probs));

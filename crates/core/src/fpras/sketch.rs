@@ -1,4 +1,12 @@
 //! Per-vertex sketches `(R(s), X(s))` and the union estimator `W̃`.
+//!
+//! [`estimate_union_packed`] is the estimator the FPRAS runs. Two reference
+//! implementations of the same §6.4 formula stay public as oracles for the
+//! tests and the E21 kernel bench, and nothing in production calls them:
+//! [`estimate_union_with_mask`], the scalar per-sample prefix-mask walk, and
+//! [`estimate_union_quadratic`], the seed's quadratic scan. All three give
+//! bit-identical values on the same sketches; the equivalence suite checks
+//! that on the member sets of real built sketches.
 
 use lsc_arith::BigFloat;
 use lsc_automata::unroll::NodeId;
@@ -175,11 +183,11 @@ fn count_fresh_packed(samples: &[SampleEntry], arena: &MaskArena) -> usize {
     fresh
 }
 
-/// The scalar per-sample variant of the linear estimator: same prefix-mask
-/// linearization, but each sample is tested through the `covered` predicate
-/// individually. This is the ablation-B6 path (recompute the reach set per
-/// test), where the membership cost dwells inside the predicate and word-level
-/// batching has nothing to batch.
+/// The scalar per-sample variant of the linear estimator, a reference
+/// oracle: same prefix-mask linearization, but each sample is tested through
+/// the `covered` predicate individually. With a predicate that recomputes
+/// the reach set from the word (`reach_of`), it checks both the packed
+/// kernel's batching and the cached reach sets it reads.
 pub fn estimate_union_with_mask(
     members: &[NodeId],
     data: &[Option<VertexData>],
@@ -208,10 +216,8 @@ pub fn estimate_union_with_mask(
 }
 
 /// The seed implementation of the estimator: a quadratic per-sample scan over
-/// all earlier members. Kept verbatim as (a) the oracle for the equivalence
-/// property tests and (b) the pre-optimization baseline behind ablation B9
-/// ([`crate::fpras::FprasParams::quadratic_estimator`]) that the
-/// `BENCH_fpras.json` speedup trajectory is measured against.
+/// all earlier members. Kept verbatim as the reference oracle of the
+/// equivalence tests and the slowest row of the E21 kernel bench.
 pub fn estimate_union_quadratic(
     members: &[NodeId],
     data: &[Option<VertexData>],

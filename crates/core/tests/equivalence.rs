@@ -1,15 +1,18 @@
-//! Equivalence tests for the FPRAS hot-path optimizations and the
-//! prepared-instance engine.
+//! Equivalence tests for the FPRAS hot path and the prepared-instance
+//! engine.
 //!
-//! The linear prefix-mask union estimator, the weight memo cache (per worker
-//! during the sketch build, retained per sketch across witness samplers),
-//! and the CSR DAG layout are all *value-preserving* rewrites of the seed
-//! implementation: for a fixed master seed they must produce **bit-identical**
-//! estimates and witness streams to the naive path (quadratic membership
-//! scan, no memoization), at every thread count. The same contract extends to
-//! the engine: warm (cached) answers must be bit-identical to cold one-shot
+//! The packed union kernel, the weight memo cache (per worker during the
+//! sketch build, retained per sketch across witness samplers), and the CSR
+//! DAG layout are all *value-preserving* rewrites of the seed
+//! implementation. The union kernel is checked against the seed's reference
+//! estimators on the member sets of real built sketches
+//! (`kernel_oracle`); builds and witness streams are checked for
+//! bit-identity at every thread count. The same contract extends to the
+//! engine: warm (cached) answers must be bit-identical to cold one-shot
 //! answers for `COUNT` (exact and FPRAS), `ENUM` order, and `GEN` witness
 //! streams. These tests pin both contracts across several NFA families.
+
+mod kernel_oracle;
 
 use lsc_arith::BigFloat;
 use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa, universal_nfa};
@@ -43,62 +46,67 @@ fn bit_identical(a: &BigFloat, b: &BigFloat) -> bool {
     a.partial_cmp_total(b) == Ordering::Equal
 }
 
-/// Every optimization knob × thread count produces the same estimate as the
-/// seed baseline for the same master seed.
+/// Quick parameters with `k` samples per vertex, small enough that real
+/// sampling happens (not just exact handling).
+fn with_k(k: usize) -> FprasParams {
+    let mut params = FprasParams::quick();
+    params.k = k;
+    params
+}
+
+/// The same master seed gives the same estimate at 1, 2 and 4 threads.
 #[test]
-fn estimates_bit_identical_across_configs_and_threads() {
+fn estimates_bit_identical_across_threads() {
     for (name, nfa, n) in families() {
-        // Small k so real sampling happens (not just exact handling).
-        let mut quick = FprasParams::quick();
-        quick.k = 16;
-        let reference = {
+        let build = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(0xE0_45u64);
-            run_fpras(&nfa, n, quick.baseline(), &mut rng)
+            run_fpras(&nfa, n, with_k(16).with_threads(threads), &mut rng)
                 .unwrap()
                 .estimate()
         };
-        let variants: Vec<(&str, FprasParams)> = vec![
-            ("optimized", quick),
-            ("no-cache", quick.without_weight_cache()),
-            ("quadratic", quick.with_quadratic_estimator()),
-            ("baseline", quick.baseline()),
-        ];
-        for (vname, params) in variants {
-            for threads in [1usize, 2, 4] {
-                let mut rng = StdRng::seed_from_u64(0xE0_45u64);
-                let est = run_fpras(&nfa, n, params.with_threads(threads), &mut rng)
-                    .unwrap()
-                    .estimate();
-                assert!(
-                    bit_identical(&est, &reference),
-                    "{name}/{vname}/threads={threads}: {est} != {reference}"
-                );
-            }
+        let reference = build(1);
+        for threads in [2usize, 4] {
+            let est = build(threads);
+            assert!(
+                bit_identical(&est, &reference),
+                "{name}/threads={threads}: {est} != {reference}"
+            );
         }
     }
 }
 
-/// The witness streams (including rejections) are identical between the
-/// optimized and baseline samplers for the same master seed and draw seed.
+/// The reference estimators reproduce every estimate a real build made, and
+/// agree with the packed kernel on random layer subsets. `k = 16` gives
+/// sketches of one partial 64-sample chunk; `k = 96` adds a full chunk.
+#[test]
+fn reference_estimators_reproduce_built_sketches() {
+    for (name, nfa, n) in families() {
+        for k in [16usize, 96] {
+            let mut rng = StdRng::seed_from_u64(31);
+            let state = run_fpras(&nfa, n, with_k(k), &mut rng).unwrap();
+            let sampled = kernel_oracle::check_on_sketch(&state, 0x0AC1E)
+                .unwrap_or_else(|e| panic!("{name}/k={k}: {e}"));
+            assert!(sampled > 0, "{name}/k={k}: no sampled vertex to check");
+        }
+    }
+}
+
+/// Witness streams (including rejections) drawn from sketches built at 1, 2
+/// and 4 threads are identical for the same master seed and draw seed.
 #[test]
 fn witness_streams_bit_identical() {
     for (name, nfa, n) in families() {
-        let mut quick = FprasParams::quick();
-        quick.k = 16;
-        let fast = {
+        let draws = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(7);
-            run_fpras(&nfa, n, quick, &mut rng).unwrap()
+            let state = run_fpras(&nfa, n, with_k(16).with_threads(threads), &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(99);
+            (0..100)
+                .map(|_| state.sample_witness(&mut rng))
+                .collect::<Vec<_>>()
         };
-        let naive = {
-            let mut rng = StdRng::seed_from_u64(7);
-            run_fpras(&nfa, n, quick.baseline(), &mut rng).unwrap()
-        };
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        for i in 0..100 {
-            let a = fast.sample_witness(&mut rng_a);
-            let b = naive.sample_witness(&mut rng_b);
-            assert_eq!(a, b, "{name}: draw {i} diverged");
+        let reference = draws(1);
+        for threads in [2usize, 4] {
+            assert_eq!(draws(threads), reference, "{name}/threads={threads}");
         }
     }
 }
@@ -108,10 +116,8 @@ fn witness_streams_bit_identical() {
 #[test]
 fn witness_sampler_matches_per_call_sampling() {
     for (name, nfa, n) in families() {
-        let mut quick = FprasParams::quick();
-        quick.k = 16;
         let mut rng = StdRng::seed_from_u64(13);
-        let state = run_fpras(&nfa, n, quick, &mut rng).unwrap();
+        let state = run_fpras(&nfa, n, with_k(16), &mut rng).unwrap();
         let mut sampler = state.witness_sampler();
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
@@ -137,10 +143,8 @@ fn shared_draws(sampler: &mut SharedWitnessSampler, seed: u64, draws: usize) -> 
 
 /// The sketch built for every retained-memo test below.
 fn memo_state(nfa: &Nfa, n: usize) -> Arc<FprasState> {
-    let mut quick = FprasParams::quick();
-    quick.k = 16;
     let mut rng = StdRng::seed_from_u64(17);
-    Arc::new(run_fpras(nfa, n, quick, &mut rng).unwrap())
+    Arc::new(run_fpras(nfa, n, with_k(16), &mut rng).unwrap())
 }
 
 /// Samplers created and dropped in turn over one sketch hand the weight memo
@@ -236,50 +240,16 @@ fn concurrent_threads_match_per_call_sampling() {
     }
 }
 
-/// The sketch build with and without the weight memo: equal estimates and
-/// equal sample tables, vertex for vertex, at one and two threads.
-#[test]
-fn sketch_builds_with_and_without_weight_memo_agree() {
-    for (name, nfa, n) in families() {
-        let mut quick = FprasParams::quick();
-        quick.k = 16;
-        for threads in [1usize, 2] {
-            let build = |params: FprasParams| {
-                let mut rng = StdRng::seed_from_u64(0x5EED);
-                run_fpras(&nfa, n, params.with_threads(threads), &mut rng).unwrap()
-            };
-            let memo = build(quick);
-            let plain = build(quick.without_weight_cache());
-            assert!(
-                bit_identical(&memo.estimate(), &plain.estimate()),
-                "{name}/threads={threads}: estimates differ"
-            );
-            let words = |s: &FprasState| -> Vec<Option<Vec<Word>>> {
-                s.vertex_data()
-                    .iter()
-                    .map(|d| {
-                        d.as_ref()
-                            .map(|d| d.samples.iter().map(|e| e.word.clone()).collect())
-                    })
-                    .collect()
-            };
-            assert_eq!(words(&memo), words(&plain), "{name}/threads={threads}");
-        }
-    }
-}
-
 // ---- Engine-path equivalence -----------------------------------------------
 
 /// The engine configuration the equivalence contract is checked under: the
 /// determinization probe disabled so ambiguous families genuinely exercise
 /// the cached FPRAS sketch, and a small `k` so real sampling happens.
 fn engine_config() -> EngineConfig {
-    let mut fpras = FprasParams::quick();
-    fpras.k = 16;
     EngineConfig {
         router: RouterConfig {
             determinization_cap: 0,
-            fpras,
+            fpras: with_k(16),
             classify_ambiguity: false,
         },
         ..EngineConfig::default()
@@ -439,25 +409,5 @@ fn engine_witness_streams_reproduce_across_engines() {
         for w in words {
             assert!(nfa.accepts(w), "{name}: sampled non-witness");
         }
-    }
-}
-
-/// B6 (recomputed membership) composed with the new estimator still matches:
-/// recomputing the reach set and intersecting with the prefix mask is the
-/// same predicate as the cached bitset test.
-#[test]
-fn recomputed_membership_matches_cached_under_mask() {
-    for (name, nfa, n) in families() {
-        let mut quick = FprasParams::quick();
-        quick.k = 16;
-        let mut rng_a = StdRng::seed_from_u64(31);
-        let mut rng_b = StdRng::seed_from_u64(31);
-        let cached = run_fpras(&nfa, n, quick, &mut rng_a).unwrap();
-        let recomputed =
-            run_fpras(&nfa, n, quick.with_recomputed_membership(), &mut rng_b).unwrap();
-        assert!(
-            bit_identical(&cached.estimate(), &recomputed.estimate()),
-            "{name}: B6 diverged from cached-membership path"
-        );
     }
 }

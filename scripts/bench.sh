@@ -4,10 +4,10 @@
 #
 # Usage: scripts/bench.sh [extra criterion filter args]
 #
-# The snapshot records every fpras/* benchmark (mean/median ns) plus the
-# headline `speedup` of the optimized hot path over the seed baseline on the
-# fixed trajectory instance (workloads::speedup_instance — contains-101 at
-# n=24, k=64; see DESIGN.md §4).
+# The snapshot records every fpras/* benchmark (mean/median ns), E3's hot
+# path on the fixed trajectory instance (workloads::speedup_instance —
+# contains-101 at n=24, k=64; see DESIGN.md §4) among them, plus the E21/E22
+# kernel speedups.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,10 +37,6 @@ def mean_of(group, ident):
             return r["mean_ns"]
     return None
 
-baseline = mean_of("fpras/e3-opt-vs-baseline", "baseline")
-optimized = mean_of("fpras/e3-opt-vs-baseline", "optimized")
-speedup = round(baseline / optimized, 2) if baseline and optimized else None
-
 def ratio(group, slow, fast):
     a, b = mean_of(group, slow), mean_of(group, fast)
     return round(a / b, 2) if a and b else None
@@ -65,7 +61,6 @@ snapshot = {
     "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     "git_rev": rev,
     "instance": "contains-101@24 (k=64, FprasParams::quick)",
-    "speedup_vs_seed_baseline": speedup,
     "union_kernel_speedup_vs_walk": union_kernel_speedup,
     "union_kernel_speedup_vs_quadratic": union_kernel_speedup_vs_quadratic,
     "completion_dp_speedup": completion_dp_speedup,
@@ -83,8 +78,7 @@ with open(path, "w") as fh:
     fh.write("\n")
 
 print(f"\nBENCH_fpras.json: appended snapshot #{len(history)}"
-      f" (speedup vs seed baseline: {speedup}x;"
-      f" union kernel vs walk: {union_kernel_speedup}x;"
+      f" (union kernel vs walk: {union_kernel_speedup}x;"
       f" completion DP: {completion_dp_speedup}x)")
 PY
 

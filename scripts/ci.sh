@@ -103,8 +103,8 @@ cargo test -q --release -p lsc-core --test transport_conformance
 echo "== crash safety: every-byte crash points + corruption matrix =="
 cargo test -q --release -p lsc-core --test crash_safety
 
-echo "== lint: clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== lint: clippy, all targets (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lint: rustfmt =="
 cargo fmt --check

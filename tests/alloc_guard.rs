@@ -312,3 +312,95 @@ fn a_million_pair_decision_list_is_rejected_without_copying_it() {
     );
     assert!(resume_untrusted(&text).is_ok());
 }
+
+// ---- untrusted snapshots ----
+
+/// FNV-1a(64), the snapshot payload checksum (docs/ARCHITECTURE.md §5.1).
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The count field that claims to be as large as the whole payload.
+#[derive(Clone, Copy, Debug)]
+enum Claim {
+    CompletionEntries,
+    SketchVertices,
+    VertexSamples,
+}
+
+/// A version-2 snapshot file (docs/ARCHITECTURE.md §5) of a 2-state
+/// automaton at length 4 whose `claim` count equals the payload length `P`
+/// and which ends right after it, so nothing backs the claim. A 4 KiB
+/// comment in the automaton text keeps the decoder's fixed costs small
+/// beside `P`. Returns the file and `P`.
+fn claiming_snapshot(claim: Claim) -> (Vec<u8>, usize) {
+    let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+    let ab = Alphabet::binary();
+    let nfa = Regex::parse("(0|1)*1", &ab).unwrap().compile();
+    let text = format!(
+        "# {}\n{}",
+        "x".repeat(4096),
+        lsc_automata::io::to_text(&nfa)
+    );
+    let (mantissa, exponent) = lsc_arith::BigFloat::from_u64(1).to_raw_parts();
+    let mut payload = Vec::new();
+    put(&mut payload, 4);
+    put(&mut payload, text.len() as u64);
+    payload.extend_from_slice(text.as_bytes());
+    if let Claim::CompletionEntries = claim {
+        payload.push(1 << 3); // completion table present
+    } else {
+        payload.push(1 << 5); // sketch present
+        put(&mut payload, 7); // seed
+        put(&mut payload, 4); // k
+        put(&mut payload, 300); // attempts
+        put(&mut payload, (-2.0f64).exp().to_bits());
+        payload.push(0b101); // param flags
+        put(&mut payload, 1); // threads
+        put(&mut payload, mantissa);
+        put(&mut payload, exponent as u64);
+        if let Claim::VertexSamples = claim {
+            put(&mut payload, 1); // one vertex...
+            payload.extend_from_slice(&[1, 0]); // ...present, sampled
+            put(&mut payload, mantissa);
+            put(&mut payload, exponent as u64);
+        }
+    }
+    put(&mut payload, 0); // the claim, patched to P below
+    let p = payload.len();
+    payload[p - 8..].copy_from_slice(&(p as u64).to_le_bytes());
+    let mut file = b"LSCSNAP1".to_vec();
+    file.extend_from_slice(&2u32.to_le_bytes());
+    put(&mut file, 0); // fingerprint: checked only after the payload parses
+    put(&mut file, p as u64);
+    put(&mut file, fnv64(&payload));
+    file.extend_from_slice(&payload);
+    (file, p)
+}
+
+#[test]
+fn snapshot_counts_claiming_the_whole_payload_reserve_within_its_length() {
+    use lsc_core::engine::{SnapshotError, SnapshotStore};
+
+    let dir = std::env::temp_dir().join(format!("lsc-alloc-snap-{}", std::process::id()));
+    let store = SnapshotStore::open(&dir).unwrap();
+    for claim in [
+        Claim::CompletionEntries,
+        Claim::SketchVertices,
+        Claim::VertexSamples,
+    ] {
+        let (file, p) = claiming_snapshot(claim);
+        let (bytes, imported) = allocated_during(|| store.import_bytes(&file));
+        assert!(
+            matches!(imported, Err(SnapshotError::Corrupt(_))),
+            "{claim:?}: {imported:?}"
+        );
+        assert!(
+            bytes <= 8 * p,
+            "{claim:?}: decoding a {p}-byte payload allocated {bytes} bytes"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

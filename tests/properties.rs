@@ -1,6 +1,9 @@
 //! Property-based integration tests over random automata: the invariants the
 //! paper's theorems promise, checked by proptest across the whole stack.
 
+#[path = "../crates/core/tests/kernel_oracle/mod.rs"]
+mod kernel_oracle;
+
 use logspace_repro::prelude::*;
 use lsc_automata::families::{random_nfa, random_ufa};
 use lsc_automata::ops::{determinize, is_unambiguous};
@@ -56,10 +59,11 @@ proptest! {
     }
 
     /// The packed word-level union kernel is a pure representation change:
-    /// on random NFAs its estimates are bit-identical to the seed's
-    /// quadratic membership-scan oracle, at every sampling thread count.
-    /// (The fixed-family sweep lives in `crates/core/tests/equivalence.rs`;
-    /// this is the randomized counterpart.)
+    /// on random NFAs, the seed's quadratic scan and the scalar walk with
+    /// recomputed reach sets reproduce every estimate a real build made,
+    /// and the build is bit-identical at every sampling thread count. (The
+    /// fixed-family sweep lives in `crates/core/tests/equivalence.rs`; this
+    /// is the randomized counterpart.)
     #[test]
     fn packed_union_kernel_matches_quadratic_oracle(seed in 0u64..100, n in 2usize..9) {
         let nfa = nfa_from_seed(seed, 6, 0.3);
@@ -67,22 +71,20 @@ proptest! {
         // A small per-vertex budget forces sampled (not exactly-handled)
         // vertices, so the union estimator actually runs.
         params.k = 16;
-        let oracle = {
+        let build = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-            run_fpras(&nfa, n, params.with_quadratic_estimator(), &mut rng)
-                .unwrap()
-                .estimate()
+            run_fpras(&nfa, n, params.with_threads(threads), &mut rng).unwrap()
         };
-        for threads in [1usize, 2, 4] {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-            let est = run_fpras(&nfa, n, params.with_threads(threads), &mut rng)
-                .unwrap()
-                .estimate();
+        let state = build(1);
+        let checked = kernel_oracle::check_on_sketch(&state, seed);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        for threads in [2usize, 4] {
+            let est = build(threads).estimate();
             prop_assert_eq!(
                 est.to_raw_parts(),
-                oracle.to_raw_parts(),
+                state.estimate().to_raw_parts(),
                 "threads={}: {} != {}",
-                threads, est, oracle
+                threads, est, state.estimate()
             );
         }
     }
