@@ -350,11 +350,8 @@ impl Engine {
     }
 
     /// The memoized reduction of a domain object — [`Engine::prepare`]
-    /// without the instance-cache resolution. The sharded resolver
-    /// ([`crate::engine::ShardedEngine`]) uses this to run the reduction on
-    /// the domain's home shard before routing the *instance* by its own
-    /// fingerprint.
-    pub fn domain_instance<Q: Queryable + ?Sized>(&self, queryable: &Q) -> (Arc<Nfa>, usize) {
+    /// without the instance-cache resolution.
+    fn domain_instance<Q: Queryable + ?Sized>(&self, queryable: &Q) -> (Arc<Nfa>, usize) {
         let domain = queryable.domain_fingerprint();
         let memoized = self
             .domains
@@ -442,33 +439,6 @@ impl Engine {
         fps
     }
 
-    /// Removes and returns every cached instance whose fingerprint matches
-    /// the predicate, in fingerprint order. The byte accounting shrinks
-    /// accordingly; nothing counts as an eviction (the instances are being
-    /// *moved*, not dropped — this is the shard add/drain migration hook).
-    pub fn take_instances_where(
-        &self,
-        mut pred: impl FnMut(u64) -> bool,
-    ) -> Vec<Arc<PreparedInstance>> {
-        let mut inner = self.inner.lock().expect("engine cache poisoned");
-        let mut keys: Vec<InstanceKey> = inner
-            .entries
-            // lsc-analyze: allow(nondeterministic-iteration) reason="matched keys are sorted below and the output is sorted by fingerprint"
-            .iter()
-            .filter(|(_, e)| pred(e.inst.fingerprint()))
-            .map(|(k, _)| *k)
-            .collect();
-        keys.sort_unstable();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let entry = inner.entries.remove(&key).expect("key just listed");
-            inner.total_bytes = inner.total_bytes.saturating_sub(entry.bytes);
-            out.push(entry.inst);
-        }
-        out.sort_by_key(|inst| inst.fingerprint());
-        out
-    }
-
     // ---- typed queries ----
 
     /// Routed `COUNT` on a domain object: exact where exactness is
@@ -529,7 +499,11 @@ impl Engine {
         draw_seed: u64,
     ) -> Result<GenStream<'q, Q>, QueryError> {
         let handle = self.prepare(queryable);
-        Ok(GenStream::new(queryable, self.stream(&handle, draw_seed)?))
+        let stream = self.gen_stream(&handle, draw_seed);
+        // Building the stream may build the sketch; later draws are charged
+        // at the next touch.
+        self.settle(&handle);
+        Ok(GenStream::new(queryable, stream?))
     }
 
     // ---- handle entries (handles in, raw words out) ----
@@ -632,7 +606,7 @@ impl Engine {
     }
 
     /// Routed `COUNT` on the handle's instance, settled.
-    pub(super) fn routed(&self, handle: &InstanceHandle) -> Result<RoutedCount, QueryError> {
+    fn routed(&self, handle: &InstanceHandle) -> Result<RoutedCount, QueryError> {
         let routed = handle
             .inst
             .count_routed_cached(&self.config.router, self.sketch_seed(&handle.inst));
@@ -641,22 +615,10 @@ impl Engine {
     }
 
     /// Exact `COUNT` on the handle's instance, settled.
-    pub(super) fn exact(&self, handle: &InstanceHandle) -> Result<BigNat, QueryError> {
+    fn exact(&self, handle: &InstanceHandle) -> Result<BigNat, QueryError> {
         let count = handle.inst.count_exact();
         self.settle(handle);
         Ok(count?)
-    }
-
-    /// [`Engine::gen_stream`], settled once the stream is built (building
-    /// it may build the sketch; later draws are charged at the next touch).
-    pub(super) fn stream(
-        &self,
-        handle: &InstanceHandle,
-        draw_seed: u64,
-    ) -> Result<WordGenStream, QueryError> {
-        let stream = self.gen_stream(handle, draw_seed);
-        self.settle(handle);
-        stream
     }
 
     // ---- cache internals ----

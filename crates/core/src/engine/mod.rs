@@ -34,11 +34,12 @@
 //!   lazily-materialized per-problem tables (exact DP counts, FPRAS sketch).
 //! * [`Engine`] — a fingerprint-keyed, byte-capped LRU cache of prepared
 //!   instances and the domain-session memo.
-//! * [`ShardedEngine`] / [`ShardMap`] — N independent engines behind a
-//!   consistent-hash shard map, so cache resolution scales with cores: every
-//!   instance fingerprint routes to exactly one shard, shards can be added
-//!   or drained with bounded key movement, and answers stay bit-identical
-//!   to the single-engine path.
+//! * [`ShardedEngine`] / [`ShardMap`] — a fleet of N independent engines,
+//!   fixed at construction, behind a consistent-hash shard map, so cache
+//!   resolution scales with cores: every instance fingerprint routes to
+//!   exactly one shard, the server's handle entries run there, and answers
+//!   stay bit-identical to the single-engine path. Typed domain sessions
+//!   are served by [`Engine`] alone.
 //! * [`count_routed`] and the route vocabulary ([`CountRoute`],
 //!   [`RouterConfig`], [`RoutedCount`]) — the ambiguity-aware counting
 //!   router, with routing decisions cached per instance.

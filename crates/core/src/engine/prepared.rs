@@ -91,6 +91,22 @@ fn sketch_key(params: &FprasParams, seed: u64) -> SketchKey {
 }
 
 impl PreparedInstance {
+    /// The largest instance the wire `prepare` and snapshot decoding admit,
+    /// in unrolled `(layer, state)` cells: `(length + 1) × states`. Every
+    /// artifact is at least linear in it (the DAG build reserves a state
+    /// set per layer up front), so an untrusted length past it must be
+    /// refused before anything is built.
+    pub const MAX_CELLS: usize = 1 << 22;
+
+    /// Whether `(length + 1) × nfa.num_states()` is within
+    /// [`PreparedInstance::MAX_CELLS`].
+    pub fn admits(nfa: &Nfa, length: usize) -> bool {
+        length
+            .checked_add(1)
+            .and_then(|layers| layers.checked_mul(nfa.num_states()))
+            .is_some_and(|cells| cells <= Self::MAX_CELLS)
+    }
+
     /// Wraps an instance without materializing anything: every table is built
     /// on first use. This is what [`crate::MemNfa`] holds, so constructing a
     /// façade instance stays free.
@@ -554,6 +570,17 @@ mod tests {
     use lsc_automata::families::blowup_nfa;
     use lsc_automata::regex::Regex;
     use lsc_automata::Alphabet;
+
+    #[test]
+    fn admission_counts_unrolled_cells_and_never_overflows() {
+        let nfa = blowup_nfa(4);
+        let m = nfa.num_states();
+        let layers = PreparedInstance::MAX_CELLS / m;
+        assert!(PreparedInstance::admits(&nfa, layers - 1));
+        assert!(!PreparedInstance::admits(&nfa, layers));
+        assert!(!PreparedInstance::admits(&nfa, usize::MAX));
+        assert!(!PreparedInstance::admits(&nfa, usize::MAX / 2));
+    }
 
     #[test]
     fn tables_materialize_lazily_and_once() {

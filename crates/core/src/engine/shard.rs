@@ -15,17 +15,15 @@
 //!   shard. All traffic for an instance (prepare, query, cursor resume,
 //!   snapshot warm-load) lands on its home shard, so intra-instance cache
 //!   semantics (`k` duplicates = 1 miss + `k − 1` hits) are untouched, and
-//!   no instance is resident in two shards (at quiescence — a resolution
-//!   racing a topology change can leave a transient extra copy; see
-//!   [`ShardedEngine::add_shard`]).
-//! * **Elasticity.** [`ShardedEngine::add_shard`] and
-//!   [`ShardedEngine::remove_shard`] grow or drain the fleet at runtime.
-//!   Consistent hashing bounds the fallout: adding a shard moves only the
-//!   keys the new shard now owns (≈ `1/(N+1)` of them), removing one moves
-//!   only its own keys — every other shard's residents stay put. Moved
-//!   instances migrate cache-to-cache (no recompilation); in-flight
-//!   [`InstanceHandle`]s keep serving regardless, because handles pin the
-//!   artifact, not the shard.
+//!   no instance is resident in two shards.
+//! * **A fixed fleet.** The shard count is set at construction and never
+//!   changes: every answer is a pure function of the prepared instance, so
+//!   a shard only needs a fixed rule for which engine owns a fingerprint.
+//!   The fleet is an immutable slice, and resolving a handle's home shard
+//!   takes no lock. The rule is still the consistent-hash ring, not a
+//!   modulus: the cluster router (`serve::router`) places instances on
+//!   backends with the same [`ShardMap`], where membership does change, and
+//!   snapshot warm-loads put every instance on the shard the ring names.
 //!
 //! **Determinism.** Shards never hold their own randomness: every answer is
 //! the same pure function of `(instance, engine seed, request seed)` that
@@ -35,17 +33,14 @@
 //! concurrent op log over a `ShardedEngine` at 1/2/4/8 threads produces
 //! bit-identical outputs to a serial replay on one `Engine`.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 use lsc_arith::BigNat;
 use lsc_automata::{Nfa, Word};
 
 use crate::engine::cache::{Engine, EngineConfig, EngineStats, InstanceHandle, QueryError};
-use crate::engine::cursor::{
-    EnumCursor, GenStream, InvalidTokenError, ResumeToken, WordCursor, WordGenStream,
-};
+use crate::engine::cursor::{InvalidTokenError, ResumeToken, WordCursor};
 use crate::engine::prepared::PreparedInstance;
-use crate::engine::queryable::Queryable;
 use crate::engine::router::RoutedCount;
 
 /// SplitMix64 — the ring/key mixer. Cheap, stateless, and well distributed
@@ -156,30 +151,21 @@ impl ShardMap {
     }
 }
 
+/// Virtual nodes per shard on the engine's ring. A constant: the
+/// fingerprint → shard assignment (and so where a snapshot warm-loads) is a
+/// pure function of the shard count.
+const ENGINE_RING_REPLICAS: usize = 64;
+
 /// [`ShardedEngine`] tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardedConfig {
-    /// The per-engine configuration. `cache_bytes` is the fleet *total at
-    /// construction*: each initial shard gets `cache_bytes / shards` (so a
-    /// sharded engine and a single engine under the same config start with
-    /// the same byte budget). Shards added later each bring one more such
-    /// share — see [`ShardedEngine::add_shard`].
+    /// The per-engine configuration. `cache_bytes` is the fleet total: each
+    /// shard gets `cache_bytes / shards`, so a sharded engine and a single
+    /// engine under the same config hold the same byte budget.
     pub engine: EngineConfig,
     /// Number of shards; `0` means one per hardware thread
     /// (`std::thread::available_parallelism`).
     pub shards: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub replicas: usize,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            engine: EngineConfig::default(),
-            shards: 0,
-            replicas: 64,
-        }
-    }
 }
 
 impl ShardedConfig {
@@ -204,60 +190,11 @@ pub struct ShardedStats {
     pub per_shard: Vec<(usize, EngineStats)>,
 }
 
-/// One immutable shard-fleet snapshot: engines indexed by shard id
-/// (`None` = drained), plus the ring that routes to them. Topology changes
-/// build a fresh snapshot and swap it in — readers never see a
-/// half-updated fleet.
-#[derive(Clone)]
-struct Topology {
-    engines: Vec<Option<Arc<Engine>>>,
-    map: ShardMap,
-}
-
-impl Topology {
-    fn engine(&self, shard: usize) -> Arc<Engine> {
-        self.engines[shard]
-            .as_ref()
-            .expect("shard map routes only to live shards")
-            .clone()
-    }
-
-    fn live(&self) -> impl Iterator<Item = (usize, &Arc<Engine>)> {
-        self.engines
-            .iter()
-            .enumerate()
-            .filter_map(|(id, e)| e.as_ref().map(|e| (id, e)))
-    }
-}
-
-/// How many read stripes front the topology (a power of two). Each stripe
-/// lives on its own cache lines, so readers on different cores take
-/// different locks and the hot path has no globally shared read-lock word
-/// — the contention profile a single `RwLock` (or an `Arc` clone of one
-/// shared snapshot) would reintroduce.
-const TOPOLOGY_STRIPES: usize = 16;
-
-/// One topology read stripe, padded to keep each stripe's lock word off
-/// its neighbors' cache lines.
-#[repr(align(128))]
-struct Stripe(RwLock<Arc<Topology>>);
-
-/// The stripe a thread reads through: assigned round-robin at first use,
-/// so steady-state readers spread evenly regardless of thread churn.
-fn stripe_slot() -> usize {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SLOT.with(|s| *s)
-}
-
 /// N independent [`Engine`] shards fronted by a consistent-hash
-/// [`ShardMap`] — the drop-in, multi-core replacement for a single engine.
-/// See the module docs for the design; the API mirrors [`Engine`]'s
-/// session/typed/handle surface, with [`ShardedEngine::stats`] additionally
-/// reporting per-shard counters.
+/// [`ShardMap`] — the multi-core replacement for a single engine behind the
+/// server. The fleet is fixed at construction; every call resolves the
+/// handle's home shard through the map and runs there. See the module docs
+/// for the design.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -268,10 +205,10 @@ fn stripe_slot() -> usize {
 ///     shards: 4,
 ///     ..ShardedConfig::default()
 /// });
-/// let instance = (Arc::new(blowup_nfa(3)), 8usize);
-/// let count = engine.count_exact(&instance).unwrap().to_u64().unwrap();
-/// let words: Vec<_> = engine.enumerate(&instance).collect();
-/// assert_eq!(words.len() as u64, count);
+/// let handle = engine.prepare_nfa(&Arc::new(blowup_nfa(3)), 8);
+/// let (count, _) = engine.count_exact_on(&handle).unwrap();
+/// let words: Vec<_> = engine.cursor(&handle).collect();
+/// assert_eq!(words.len() as u64, count.to_u64().unwrap());
 /// // Exactly one shard compiled the instance; the fleet agrees on totals.
 /// let stats = engine.stats();
 /// assert_eq!(stats.aggregate.misses, 1);
@@ -279,20 +216,10 @@ fn stripe_slot() -> usize {
 /// ```
 pub struct ShardedEngine {
     config: ShardedConfig,
-    /// Per-shard engine configuration (the byte budget already divided).
-    shard_config: EngineConfig,
-    /// The current [`Topology`] snapshot, replicated across read stripes.
-    /// Readers go through their thread's stripe ([`stripe_slot`]); writers
-    /// ([`ShardedEngine::add_shard`] / [`ShardedEngine::remove_shard`])
-    /// serialize on `topology_mut`, then write-lock every stripe to swap
-    /// the snapshot atomically with respect to readers.
-    stripes: Vec<Stripe>,
-    topology_mut: Mutex<()>,
-    /// Counters inherited from drained shards, so the aggregate keeps a
-    /// drained shard's history instead of dropping it with its cache
-    /// (monotonic up to requests racing the drain itself — see
-    /// [`ShardedEngine::remove_shard`]).
-    retired: Mutex<EngineStats>,
+    /// The shards, indexed by shard id.
+    engines: Box<[Engine]>,
+    /// Routes a fingerprint to its shard id over `0..engines.len()`.
+    map: ShardMap,
 }
 
 impl ShardedEngine {
@@ -303,60 +230,11 @@ impl ShardedEngine {
             cache_bytes: (config.engine.cache_bytes / shards).max(1),
             ..config.engine
         };
-        let engines = (0..shards)
-            .map(|_| Some(Arc::new(Engine::new(shard_config))))
-            .collect();
-        let topology = Arc::new(Topology {
-            engines,
-            map: ShardMap::new(shards, config.replicas),
-        });
         ShardedEngine {
             config,
-            shard_config,
-            stripes: (0..TOPOLOGY_STRIPES)
-                .map(|_| Stripe(RwLock::new(topology.clone())))
-                .collect(),
-            topology_mut: Mutex::new(()),
-            retired: Mutex::new(EngineStats::default()),
+            engines: (0..shards).map(|_| Engine::new(shard_config)).collect(),
+            map: ShardMap::new(shards, ENGINE_RING_REPLICAS),
         }
-    }
-
-    /// Runs `f` against the current topology snapshot through this
-    /// thread's read stripe (see [`Stripe`]).
-    fn with_topology<T>(&self, f: impl FnOnce(&Topology) -> T) -> T {
-        let guard = self.stripes[stripe_slot() % TOPOLOGY_STRIPES]
-            .0
-            .read()
-            .expect("topology stripe poisoned");
-        f(&guard)
-    }
-
-    /// Swaps a new topology snapshot into every stripe. All stripe write
-    /// locks are held simultaneously, so no reader observes a mix of old
-    /// and new topologies. Callers hold `topology_mut`.
-    fn install(&self, next: &Arc<Topology>) {
-        let mut guards: Vec<_> = self
-            .stripes
-            .iter()
-            .map(|s| s.0.write().expect("topology stripe poisoned"))
-            .collect();
-        for guard in &mut guards {
-            **guard = next.clone();
-        }
-    }
-
-    /// A sharded engine with default configuration (one shard per hardware
-    /// thread).
-    pub fn with_defaults() -> ShardedEngine {
-        Self::new(ShardedConfig::default())
-    }
-
-    /// A default-configured engine with an explicit shard count.
-    pub fn with_shards(shards: usize) -> ShardedEngine {
-        Self::new(ShardedConfig {
-            shards,
-            ..ShardedConfig::default()
-        })
     }
 
     /// The configuration.
@@ -364,79 +242,50 @@ impl ShardedEngine {
         &self.config
     }
 
-    /// Live shard count.
-    pub fn num_shards(&self) -> usize {
-        self.with_topology(|t| t.map.len())
-    }
-
     /// The shard an instance fingerprint routes to.
     pub fn shard_for_fingerprint(&self, fingerprint: u64) -> usize {
-        self.with_topology(|t| t.map.shard_for(fingerprint))
+        self.map.shard_for(fingerprint)
     }
 
-    /// Which shards hold a fingerprint right now (the no-double-residency
-    /// invariant says: never more than one at quiescence — see
-    /// [`ShardedEngine::add_shard`] for the transient during a racing
-    /// topology change).
+    /// Which shards hold a fingerprint right now (the residency invariant
+    /// says: at most one, its home shard).
     pub fn resident_shards(&self, fingerprint: u64) -> Vec<usize> {
-        self.with_topology(|t| {
-            t.live()
-                .filter(|(_, e)| e.resident_fingerprints().contains(&fingerprint))
-                .map(|(id, _)| id)
-                .collect()
-        })
+        (0..self.engines.len())
+            .filter(|&id| {
+                self.engines[id]
+                    .resident_fingerprints()
+                    .contains(&fingerprint)
+            })
+            .collect()
     }
 
-    /// Aggregated plus per-shard cache counters. The aggregate includes
-    /// the hit/miss/eviction history of since-drained shards; entry and
-    /// byte gauges cover only the live fleet.
+    /// Aggregated plus per-shard cache counters.
     pub fn stats(&self) -> ShardedStats {
         let mut out = ShardedStats::default();
-        {
-            let retired = self.retired.lock().expect("retired stats poisoned");
-            out.aggregate.hits = retired.hits;
-            out.aggregate.misses = retired.misses;
-            out.aggregate.evictions = retired.evictions;
+        for (id, engine) in self.engines.iter().enumerate() {
+            let s = engine.stats();
+            out.aggregate.hits += s.hits;
+            out.aggregate.misses += s.misses;
+            out.aggregate.evictions += s.evictions;
+            out.aggregate.entries += s.entries;
+            out.aggregate.bytes += s.bytes;
+            out.aggregate.domains += s.domains;
+            out.per_shard.push((id, s));
         }
-        self.with_topology(|topology| {
-            for (id, engine) in topology.live() {
-                let s = engine.stats();
-                out.aggregate.hits += s.hits;
-                out.aggregate.misses += s.misses;
-                out.aggregate.evictions += s.evictions;
-                out.aggregate.entries += s.entries;
-                out.aggregate.bytes += s.bytes;
-                out.aggregate.domains += s.domains;
-                out.per_shard.push((id, s));
-            }
-        });
         out
     }
 
-    // ---- routing ----
-
-    fn engine_for(&self, fingerprint: u64) -> Arc<Engine> {
-        self.with_topology(|t| t.engine(t.map.shard_for(fingerprint)))
+    /// The shard owning a fingerprint.
+    fn engine_for(&self, fingerprint: u64) -> &Engine {
+        &self.engines[self.map.shard_for(fingerprint)]
     }
 
-    /// The handle's home shard (handles pin the artifact, not the shard,
-    /// so this is looked up per call).
-    fn home(&self, handle: &InstanceHandle) -> Arc<Engine> {
+    /// The handle's home shard.
+    fn home(&self, handle: &InstanceHandle) -> &Engine {
         self.engine_for(handle.fingerprint())
     }
 
     // ---- sessions ----
-
-    /// Opens a session on a domain object: the reduction runs (memoized) on
-    /// the domain fingerprint's home shard, then the *instance* routes by
-    /// its own fingerprint — so equal instances reached through different
-    /// domains still share one shard and one compilation.
-    pub fn prepare<Q: Queryable + ?Sized>(&self, queryable: &Q) -> InstanceHandle {
-        let (nfa, length) = self
-            .engine_for(queryable.domain_fingerprint())
-            .domain_instance(queryable);
-        self.prepare_nfa(&nfa, length)
-    }
 
     /// A session handle for a raw `(automaton, length)` instance, resolved
     /// on its home shard.
@@ -445,79 +294,11 @@ impl ShardedEngine {
             .prepare_nfa(nfa, length)
     }
 
-    /// The prepared instance for `(nfa, length)` — [`ShardedEngine::prepare_nfa`]
-    /// without the handle wrapper.
-    pub fn prepared(&self, nfa: &Arc<Nfa>, length: usize) -> Arc<PreparedInstance> {
-        self.engine_for(PreparedInstance::instance_fingerprint(nfa, length))
-            .prepared(nfa, length)
-    }
-
     /// Inserts an externally constructed instance into its home shard — the
     /// shard-aware warm-restart hook behind
     /// [`crate::engine::SnapshotStore::warm_sharded`].
     pub fn insert_prepared(&self, inst: Arc<PreparedInstance>) -> InstanceHandle {
         self.engine_for(inst.fingerprint()).insert_prepared(inst)
-    }
-
-    // ---- typed queries ----
-
-    /// Routed `COUNT` on a domain object (see [`Engine::count`]).
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events when the FPRAS route fires.
-    pub fn count<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<RoutedCount, QueryError> {
-        let handle = self.prepare(queryable);
-        self.home(&handle).routed(&handle)
-    }
-
-    /// Exact `COUNT` on a domain object (see [`Engine::count_exact`]).
-    ///
-    /// # Errors
-    /// [`QueryError::NotUnambiguous`] on ambiguous instances.
-    pub fn count_exact<Q: Queryable + ?Sized>(&self, queryable: &Q) -> Result<BigNat, QueryError> {
-        let handle = self.prepare(queryable);
-        self.home(&handle).exact(&handle)
-    }
-
-    /// Streaming `ENUM` on a domain object (see [`Engine::enumerate`]).
-    pub fn enumerate<'q, Q: Queryable + ?Sized>(&self, queryable: &'q Q) -> EnumCursor<'q, Q> {
-        let handle = self.prepare(queryable);
-        EnumCursor::new(queryable, WordCursor::fresh(handle.instance().clone()))
-    }
-
-    /// Reconstructs a typed cursor at a token's position (see
-    /// [`Engine::resume`]).
-    ///
-    /// # Errors
-    /// [`InvalidTokenError`] if the token does not belong to this domain
-    /// object's instance or encodes an impossible position.
-    pub fn resume<'q, Q: Queryable + ?Sized>(
-        &self,
-        queryable: &'q Q,
-        token: &ResumeToken,
-    ) -> Result<EnumCursor<'q, Q>, InvalidTokenError> {
-        let handle = self.prepare(queryable);
-        Ok(EnumCursor::new(
-            queryable,
-            WordCursor::resume(handle.instance().clone(), token)?,
-        ))
-    }
-
-    /// `GEN` on a domain object (see [`Engine::sample`]). Deterministic in
-    /// `(instance, engine seed, draw_seed)` — the shard layout never enters
-    /// the stream.
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events from the (cached) sketch build on
-    /// the ambiguous route.
-    pub fn sample<'q, Q: Queryable + ?Sized>(
-        &self,
-        queryable: &'q Q,
-        draw_seed: u64,
-    ) -> Result<GenStream<'q, Q>, QueryError> {
-        let handle = self.prepare(queryable);
-        let stream = self.home(&handle).stream(&handle, draw_seed)?;
-        Ok(GenStream::new(queryable, stream))
     }
 
     // ---- handle entries ----
@@ -580,111 +361,10 @@ impl ShardedEngine {
         WordCursor::resume(handle.instance().clone(), token)
     }
 
-    /// A raw-word uniform draw stream over a session handle (see
-    /// [`Engine::gen_stream`]).
-    ///
-    /// # Errors
-    /// Propagates FPRAS failure events from the (cached) sketch build on
-    /// the ambiguous route.
-    pub fn gen_stream(
-        &self,
-        handle: &InstanceHandle,
-        draw_seed: u64,
-    ) -> Result<WordGenStream, QueryError> {
-        self.home(handle).gen_stream(handle, draw_seed)
-    }
-
-    /// The bytes the live shards' residents measure right now.
+    /// The bytes the shards' residents measure right now.
     #[cfg(test)]
     pub(crate) fn measured_bytes(&self) -> usize {
-        self.with_topology(|t| t.live().map(|(_, e)| e.measured_bytes()).sum())
-    }
-
-    // ---- elasticity ----
-
-    /// Adds a fresh shard to the fleet and migrates the instances it now
-    /// owns out of their old shards (cache-to-cache — no recompilation).
-    /// Returns the new shard's id.
-    ///
-    /// Topology changes are linearized with respect to each other; readers
-    /// always see a complete snapshot (old or new, never a mix). Requests
-    /// in flight during the swap may resolve through the previous snapshot
-    /// — answers are unaffected (every answer is a pure function of the
-    /// instance and seeds), but cache placement is eventually consistent:
-    /// a resolution that raced the swap can leave a transient resident on
-    /// the old owner, which converges on the next topology change or
-    /// eviction. The strict no-double-residency invariant therefore holds
-    /// at quiescence (no topology change mid-request), which is what the
-    /// shard tests pin.
-    ///
-    /// Capacity note: each shard's byte budget is fixed at construction
-    /// (`cache_bytes / initial shards`), so an added shard brings one more
-    /// share of capacity — growing the fleet grows the fleet-total cache
-    /// by design, mirroring how added hardware brings its own memory.
-    pub fn add_shard(&self) -> usize {
-        let _writer = self.topology_mut.lock().expect("topology writer poisoned");
-        let current = self.with_topology(|t| t.clone());
-        let id = current.engines.len();
-        let mut next = current;
-        next.map.add_shard(id);
-        next.engines
-            .push(Some(Arc::new(Engine::new(self.shard_config))));
-        let next = Arc::new(next);
-        // New routing first, then drain: an instance the new shard owns is
-        // re-resolved there from the moment of the swap, and its old copy
-        // is swept out right after.
-        self.install(&next);
-        let mut moved = Vec::new();
-        for (shard, engine) in next.live() {
-            if shard == id {
-                continue;
-            }
-            moved.extend(engine.take_instances_where(|fp| next.map.shard_for(fp) == id));
-        }
-        let new_engine = next.engine(id);
-        for inst in moved {
-            new_engine.insert_prepared(inst);
-        }
-        id
-    }
-
-    /// Drains a shard: removes it from the ring and migrates its resident
-    /// instances to their new home shards. Every other shard's residents
-    /// are untouched (the consistent-hashing guarantee). Returns `false`
-    /// if the shard is unknown, already drained, or the last one standing.
-    /// Outstanding [`InstanceHandle`]s minted by the drained shard keep
-    /// serving — they pin the artifact, not the shard. (See
-    /// [`ShardedEngine::add_shard`] for the snapshot-swap semantics.)
-    pub fn remove_shard(&self, id: usize) -> bool {
-        let _writer = self.topology_mut.lock().expect("topology writer poisoned");
-        let mut next = self.with_topology(|t| t.clone());
-        if !next.map.remove_shard(id) {
-            return false;
-        }
-        let drained = next.engines[id]
-            .take()
-            .expect("map had the shard, fleet must too");
-        let next = Arc::new(next);
-        self.install(&next);
-        for inst in drained.take_instances_where(|_| true) {
-            next.engine(next.map.shard_for(inst.fingerprint()))
-                .insert_prepared(inst);
-        }
-        // Capture the drained shard's counter history only after the swap
-        // and the migration sweep, so everything it recorded up to the
-        // point new traffic stopped reaching it is carried over. (A
-        // request that raced the swap with an already-resolved engine
-        // reference may still record on the drained shard afterwards;
-        // those last counts die with it — see the add_shard note on
-        // eventual consistency.)
-        {
-            let s = drained.stats();
-            let mut retired = self.retired.lock().expect("retired stats poisoned");
-            retired.hits += s.hits;
-            retired.misses += s.misses;
-            retired.evictions += s.evictions;
-        }
-        true
+        self.engines.iter().map(Engine::measured_bytes).sum()
     }
 }
 
@@ -692,6 +372,13 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use lsc_automata::families::blowup_nfa;
+
+    fn with_shards(shards: usize) -> ShardedEngine {
+        ShardedEngine::new(ShardedConfig {
+            shards,
+            ..ShardedConfig::default()
+        })
+    }
 
     fn instance(k: usize) -> (Arc<Nfa>, usize) {
         (Arc::new(blowup_nfa(k)), 10usize)
@@ -725,20 +412,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_answers_match_single_engine() {
-        let single = Engine::with_defaults();
-        let sharded = ShardedEngine::with_shards(4);
-        for k in 3..6 {
-            let instance = instance(k);
-            let a = single.count_exact(&instance).unwrap();
-            let b = sharded.count_exact(&instance).unwrap();
-            assert_eq!(a, b);
-        }
+    fn the_last_ring_shard_cannot_be_removed() {
+        let mut map = ShardMap::new(1, 64);
+        assert!(!map.remove_shard(0), "the map must stay routable");
+        assert_eq!(map.shard_ids(), &[0]);
     }
 
     #[test]
     fn instances_resolve_on_exactly_one_shard() {
-        let sharded = ShardedEngine::with_shards(4);
+        let sharded = with_shards(4);
         let mut fps = Vec::new();
         for k in 3..8 {
             let (nfa, n) = instance(k);
@@ -762,7 +444,7 @@ mod tests {
 
     #[test]
     fn duplicates_hit_on_their_home_shard() {
-        let sharded = ShardedEngine::with_shards(4);
+        let sharded = with_shards(4);
         let (a, n) = instance(4);
         let (b, _) = instance(5);
         let hits: Vec<bool> = [&a, &b, &a, &b, &a]
@@ -781,87 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_counts_resolve_once_like_the_unsharded_engine() {
-        let sharded = ShardedEngine::with_shards(4);
-        let single = Engine::new(EngineConfig::default());
-        let query = instance(4);
-        for _ in 0..3 {
-            assert_eq!(
-                sharded.count(&query).unwrap().exact,
-                single.count(&query).unwrap().exact
-            );
-            assert_eq!(
-                sharded.count_exact(&query).unwrap(),
-                single.count_exact(&query).unwrap()
-            );
-        }
-        let sharded = sharded.stats().aggregate;
-        let single = single.stats();
-        assert_eq!((single.hits, single.misses), (5, 1));
-        assert_eq!((sharded.hits, sharded.misses), (single.hits, single.misses));
-    }
-
-    #[test]
-    fn add_shard_migrates_only_what_it_now_owns() {
-        let sharded = ShardedEngine::with_shards(3);
-        let mut homes = std::collections::HashMap::new();
-        for k in 3..11 {
-            let (nfa, n) = instance(k);
-            let handle = sharded.prepare_nfa(&nfa, n);
-            homes.insert(
-                handle.fingerprint(),
-                sharded.shard_for_fingerprint(handle.fingerprint()),
-            );
-        }
-        let new = sharded.add_shard();
-        assert_eq!(sharded.num_shards(), 4);
-        for (&fp, &old_home) in &homes {
-            let now = sharded.shard_for_fingerprint(fp);
-            assert!(
-                now == old_home || now == new,
-                "keys only move to the new shard"
-            );
-            assert_eq!(
-                sharded.resident_shards(fp),
-                vec![now],
-                "migrated in cache too"
-            );
-        }
-        // Migration moved artifacts, not recompilations: no new misses.
-        assert_eq!(sharded.stats().aggregate.misses, 8);
-    }
-
-    #[test]
-    fn remove_shard_drains_into_the_survivors() {
-        let sharded = ShardedEngine::with_shards(4);
-        let mut handles = Vec::new();
-        for k in 3..11 {
-            let (nfa, n) = instance(k);
-            handles.push((sharded.prepare_nfa(&nfa, n), nfa, n));
-        }
-        let victim = sharded.shard_for_fingerprint(handles[0].0.fingerprint());
-        assert!(sharded.remove_shard(victim));
-        assert!(!sharded.remove_shard(victim), "already drained");
-        assert_eq!(sharded.num_shards(), 3);
-        for (handle, nfa, n) in &handles {
-            let fp = handle.fingerprint();
-            let home = sharded.shard_for_fingerprint(fp);
-            assert_ne!(home, victim);
-            assert_eq!(sharded.resident_shards(fp), vec![home]);
-            // Still served warm — the drained shard's artifacts migrated.
-            assert!(sharded.prepare_nfa(nfa, *n).was_cached());
-        }
-        assert_eq!(sharded.stats().aggregate.misses, 8, "no recompilation");
-    }
-
-    #[test]
-    fn last_shard_cannot_be_removed() {
-        let sharded = ShardedEngine::with_shards(1);
-        assert!(!sharded.remove_shard(0));
-        assert_eq!(sharded.num_shards(), 1);
-    }
-
-    #[test]
     fn byte_budget_is_divided_across_shards() {
         let config = ShardedConfig {
             engine: EngineConfig {
@@ -869,9 +470,11 @@ mod tests {
                 ..EngineConfig::default()
             },
             shards: 4,
-            ..ShardedConfig::default()
         };
         let sharded = ShardedEngine::new(config);
-        assert_eq!(sharded.shard_config.cache_bytes, 16 << 20);
+        assert!(sharded
+            .engines
+            .iter()
+            .all(|e| e.config().cache_bytes == 16 << 20));
     }
 }

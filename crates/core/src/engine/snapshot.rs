@@ -36,11 +36,12 @@
 //! ```
 //!
 //! Loading verifies the magic, the version, the checksum, the payload
-//! framing, and that the decoded automaton/length reproduce the header
-//! fingerprint — a flipped byte anywhere in the file is rejected with
-//! [`SnapshotError::Corrupt`], never served. Writes go through a temp file
-//! plus an atomic rename, so a crash mid-save cannot leave a torn snapshot
-//! under the final name.
+//! framing, that the decoded automaton/length is within the wire
+//! `prepare`'s admission bound ([`PreparedInstance::MAX_CELLS`]), and that
+//! they reproduce the header fingerprint — a flipped byte anywhere in the
+//! file is rejected with [`SnapshotError::Corrupt`], never served. Writes
+//! go through a temp file plus an atomic rename, so a crash mid-save cannot
+//! leave a torn snapshot under the final name.
 //!
 //! **Crash safety.** A publish is durable, not just atomic: the temp file
 //! is `fsync`ed before the rename and the directory is `fsync`ed after it,
@@ -821,6 +822,9 @@ fn decode(bytes: &[u8]) -> Result<(Arc<PreparedInstance>, u64), SnapshotError> {
         std::str::from_utf8(r.bytes_field()?).map_err(|_| corrupt("automaton not UTF-8"))?;
     let nfa = nfa_io::from_text(nfa_text)
         .map_err(|e| SnapshotError::Corrupt(format!("automaton does not parse: {e}")))?;
+    if !PreparedInstance::admits(&nfa, length) {
+        return Err(corrupt("instance past the admission bound"));
+    }
     let flags = r.u8()?;
     let unambiguous =
         (flags & FLAG_UNAMBIGUOUS_KNOWN != 0).then_some(flags & FLAG_UNAMBIGUOUS_VALUE != 0);

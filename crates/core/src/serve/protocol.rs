@@ -30,6 +30,7 @@
 use lsc_automata::regex::Regex;
 use lsc_automata::{io as nfa_io, Alphabet, Nfa};
 
+use crate::engine::PreparedInstance;
 use crate::serve::conn::Reply;
 use crate::serve::json::{self, Json};
 
@@ -147,13 +148,18 @@ impl InstanceSpec {
     /// print in; a regex without an alphabet uses `default_alphabet`.
     /// Every node that fingerprints a spec — a server's `prepare`, the
     /// router's placement — compiles it here, so their fingerprints agree
-    /// whenever their default alphabets do.
+    /// whenever their default alphabets do, and both refuse an instance
+    /// past [`PreparedInstance::MAX_CELLS`] at witness length `length`.
     ///
     /// # Errors
-    /// [`ErrorCode::BadRequest`] on an empty alphabet or a spec that does
-    /// not parse.
-    pub(crate) fn compile(&self, default_alphabet: &str) -> Result<(Nfa, Alphabet), WireError> {
-        match self {
+    /// [`ErrorCode::BadRequest`] on an empty alphabet, a spec that does
+    /// not parse, or an instance too large to admit.
+    pub(crate) fn compile(
+        &self,
+        default_alphabet: &str,
+        length: usize,
+    ) -> Result<(Nfa, Alphabet), WireError> {
+        let (nfa, alphabet) = match self {
             InstanceSpec::Regex { pattern, alphabet } => {
                 let chars: Vec<char> = alphabet
                     .as_deref()
@@ -166,14 +172,23 @@ impl InstanceSpec {
                 let alphabet = Alphabet::from_chars(&chars);
                 let regex =
                     Regex::parse(pattern, &alphabet).map_err(|e| WireError::bad(e.to_string()))?;
-                Ok((regex.compile(), alphabet))
+                (regex.compile(), alphabet)
             }
             InstanceSpec::NfaText(text) => {
                 let nfa = nfa_io::from_text(text).map_err(|e| WireError::bad(e.to_string()))?;
                 let alphabet = nfa.alphabet().clone();
-                Ok((nfa, alphabet))
+                (nfa, alphabet)
             }
+        };
+        if !PreparedInstance::admits(&nfa, length) {
+            return Err(WireError::bad(format!(
+                "instance too large: (length + 1) x states must be at most {} \
+                 (length {length}, {} states)",
+                PreparedInstance::MAX_CELLS,
+                nfa.num_states()
+            )));
         }
+        Ok((nfa, alphabet))
     }
 }
 

@@ -661,7 +661,7 @@ impl RouterInner {
     /// configured default alphabet. Placement must be a pure function of
     /// the spec or the ring and the backends disagree.
     fn fingerprint_of(&self, spec: &InstanceSpec, length: usize) -> Result<u64, WireError> {
-        let (nfa, _) = spec.compile(&self.config.default_alphabet)?;
+        let (nfa, _) = spec.compile(&self.config.default_alphabet, length)?;
         Ok(PreparedInstance::instance_fingerprint(&nfa, length))
     }
 
@@ -1073,6 +1073,41 @@ mod tests {
             "double close must be unknown-session: {}",
             again[0].encode()
         );
+        client.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
+    /// Placement compiles the spec with the servers' admission bound, so
+    /// an oversized instance is refused at the front, before it reaches a
+    /// backend, and the connection keeps serving.
+    #[test]
+    fn an_oversized_prepare_is_refused_at_placement() {
+        let (nodes, _router, front) = cluster(2);
+        let mut client = Client::new(front.addr().to_string(), quick_client());
+        let replies = client
+            .pipeline_raw(&[
+                r#"{"op":"prepare","regex":"(0|1)*","length":1000000000000}"#,
+                r#"{"op":"prepare","regex":"(0|1)*11","length":6}"#,
+            ])
+            .unwrap();
+        assert_eq!(
+            replies[0].get("code").and_then(Json::as_str),
+            Some("bad-request"),
+            "{}",
+            replies[0].encode()
+        );
+        assert_eq!(
+            replies[1].get("session").and_then(Json::as_str),
+            Some("r1"),
+            "{}",
+            replies[1].encode()
+        );
+        let open: usize = nodes.iter().map(|(s, _)| s.stats().sessions_open).sum();
+        assert_eq!(open, 1, "only the admitted instance reached a backend");
         client.bye();
         drop(front);
         for (server, handle) in nodes {

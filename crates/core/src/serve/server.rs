@@ -194,13 +194,10 @@ pub struct ServeStats {
     pub retries: u64,
     /// Worker-pool counters (admission control and deadlines).
     pub pool: PoolStats,
-    /// Engine cache counters, aggregated over the shard fleet (including
-    /// the hit/miss/eviction history of any since-drained shards).
+    /// Engine cache counters, aggregated over the shard fleet.
     pub engine: EngineStats,
-    /// Per-shard cache counters `(shard id, counters)` for the *live*
-    /// fleet; the per-field sums equal [`ServeStats::engine`] as long as
-    /// no shard has been drained (a drained shard's history stays in the
-    /// aggregate but no longer has a per-shard row).
+    /// Per-shard cache counters `(shard id, counters)`; the per-field sums
+    /// equal [`ServeStats::engine`].
     pub shards: Vec<(usize, EngineStats)>,
 }
 
@@ -243,7 +240,6 @@ impl Server {
         let engine = ShardedEngine::new(ShardedConfig {
             engine: config.engine,
             shards: config.shards,
-            ..ShardedConfig::default()
         });
         let snapshots = match &config.snapshot_dir {
             Some(dir) => Some(SnapshotStore::open_with_faults(dir, config.faults.clone())?),
@@ -817,7 +813,7 @@ impl ServerInner {
         spec: &InstanceSpec,
         length: usize,
     ) -> Result<Vec<(String, Json)>, WireError> {
-        let (nfa, alphabet) = spec.compile(&self.config.default_alphabet)?;
+        let (nfa, alphabet) = spec.compile(&self.config.default_alphabet, length)?;
         let nfa = Arc::new(nfa);
         let handle = self.engine.prepare_nfa(&nfa, length);
         // The classification is needed to answer (and report) anything, so
@@ -1135,6 +1131,40 @@ mod tests {
             conn,
             &format!(r#"{{"op":"enumerate","session":"{session}","page_size":10}}"#),
         ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_instances_are_refused_and_the_server_keeps_serving() {
+        let server = server();
+        let conn = server.open_conn();
+        // (length + 1) x states overflows any reservation: answered as a
+        // bad request, with no session opened.
+        let reply = server.handle_line(
+            conn,
+            r#"{"op":"prepare","regex":"(0|1)*","length":1000000000000}"#,
+        );
+        let value = json::parse(&reply.text).unwrap();
+        assert_eq!(
+            value.get("code").and_then(Json::as_str),
+            Some("bad-request"),
+            "{}",
+            reply.text
+        );
+        let reply = server.handle_line(conn, r#"{"op":"count_exact","session":"s1"}"#);
+        let value = json::parse(&reply.text).unwrap();
+        assert_eq!(
+            value.get("code").and_then(Json::as_str),
+            Some("unknown-session")
+        );
+        let prepared =
+            ok(&server.handle_line(conn, r#"{"op":"prepare","regex":"(0|1)*11","length":6}"#));
+        let session = prepared.get("session").unwrap().as_str().unwrap();
+        let exact = ok(&server.handle_line(
+            conn,
+            &format!(r#"{{"op":"count_exact","session":"{session}"}}"#),
+        ));
+        assert_eq!(exact.get("count").and_then(Json::as_str), Some("16"));
         server.shutdown();
     }
 

@@ -387,7 +387,6 @@ fn sharded_concurrent_matches_single_engine_serial_replay() {
         let sharded = ShardedEngine::new(ShardedConfig {
             engine: stress_engine_config(),
             shards,
-            ..ShardedConfig::default()
         });
         let got = run_concurrent(&sharded, &zoo, &log, threads);
         for (slot, (got, want)) in got.iter().zip(&expected).enumerate() {
@@ -426,7 +425,6 @@ fn sharded_serial_matches_single_engine_serial_replay() {
         let sharded = ShardedEngine::new(ShardedConfig {
             engine: stress_engine_config(),
             shards,
-            ..ShardedConfig::default()
         });
         let got = run_serial(&sharded, &zoo, &log);
         assert_eq!(got, expected, "serial sharded drifted at {shards} shards");
@@ -449,7 +447,6 @@ fn warm_replay_is_bit_identical_to_cold() {
     let sharded = ShardedEngine::new(ShardedConfig {
         engine: config,
         shards: 4,
-        ..ShardedConfig::default()
     });
     let cold = run_serial(&sharded, &zoo, &log);
     let misses_after_cold = sharded.stats().aggregate.misses;
@@ -460,57 +457,6 @@ fn warm_replay_is_bit_identical_to_cold() {
         misses_after_cold,
         "second pass must be served entirely from cache"
     );
-}
-
-/// Cursor tokens minted under one topology resume exactly under another:
-/// pages stitched across an `add_shard` + `remove_shard` are bit-identical
-/// to an uninterrupted single-engine enumeration.
-#[test]
-fn pages_stitch_across_topology_changes() {
-    let zoo = instances();
-    let (nfa, n) = &zoo[3]; // ambiguous: the poly-delay route
-    let reference = Engine::new(stress_engine_config());
-    let all: Vec<Word> = reference.cursor(&reference.prepare_nfa(nfa, *n)).collect();
-
-    let sharded = ShardedEngine::new(ShardedConfig {
-        engine: stress_engine_config(),
-        shards: 2,
-        ..ShardedConfig::default()
-    });
-    let mut stitched: Vec<Word> = Vec::new();
-    let mut token: Option<ResumeToken> = None;
-    let mut pages = 0usize;
-    loop {
-        let handle = sharded.prepare_nfa(nfa, *n);
-        let mut cursor = match &token {
-            None => sharded.cursor(&handle),
-            Some(t) => sharded.resume_cursor(&handle, t).expect("own token"),
-        };
-        let before = stitched.len();
-        stitched.extend(cursor.by_ref().take(3));
-        token =
-            Some(ResumeToken::parse(&cursor.token().encode()).expect("token round-trips the wire"));
-        if stitched.len() == before {
-            break;
-        }
-        pages += 1;
-        match pages % 3 {
-            1 => {
-                sharded.add_shard();
-            }
-            2 => {
-                let last = *sharded
-                    .stats()
-                    .per_shard
-                    .last()
-                    .map(|(id, _)| id)
-                    .expect("shards exist");
-                sharded.remove_shard(last);
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(stitched, all, "topology changes leaked into the stream");
 }
 
 /// Deal-order sanity for the harness itself: the round-robin deal touches

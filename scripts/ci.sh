@@ -43,6 +43,21 @@ STDIO_OUT="$(printf '%s\n' \
 echo "$STDIO_OUT" | grep -q '"count":"16"'
 echo "stdio smoke: ok"
 
+echo "== stdio smoke: an oversized prepare is refused and the server keeps serving =="
+# (length + 1) x states past the admission bound is a bad request, so the
+# count_exact after it finds no session instead of aborting the process;
+# hello is still answered and the server exits 0 on bye.
+BIG_OUT="$(printf '%s\n' \
+  '{"op":"prepare","regex":"(0|1)*","length":1000000000000}' \
+  '{"op":"count_exact","session":"s1"}' \
+  '{"op":"hello","proto":1}' \
+  '{"op":"bye"}' | ./target/release/nfa_tool serve --stdio true)" \
+  || { echo "nfa_tool serve --stdio exited non-zero"; exit 1; }
+BAD_AT="$(echo "$BIG_OUT" | grep -n '"code":"bad-request"' | head -n 1 | cut -d: -f1)"
+HELLO_AT="$(echo "$BIG_OUT" | grep -n '"ok":true,"proto":1' | head -n 1 | cut -d: -f1)"
+test -n "$BAD_AT" && test -n "$HELLO_AT" && test "$BAD_AT" -lt "$HELLO_AT"
+echo "oversized stdio smoke: ok"
+
 echo "== CLI golden: nfa_tool batch =="
 # Every line but the final `# cache:` summary, whose byte figure moves
 # with table layout and whose shard count follows the host's cores.

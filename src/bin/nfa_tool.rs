@@ -235,7 +235,6 @@ fn run_batch(args: &Args) {
     let engine = ShardedEngine::new(ShardedConfig {
         engine: config,
         shards: args.get_usize("shards").unwrap_or(0),
-        ..ShardedConfig::default()
     });
     // Phase 1 — the session flow: each line resolves to an instance handle
     // (compiling its pattern at most once engine-wide), so the answers
@@ -750,6 +749,9 @@ fn main() {
                             .unwrap_or_else(|_| usage("--delta expects a float"))
                     })
                     .unwrap_or(0.1);
+                if !(delta > 0.0 && delta < 1.0) {
+                    usage("--delta must be in (0, 1)");
+                }
                 let params = FprasParams::with_accuracy(n, delta);
                 match inst.count_approx(params, &mut rng) {
                     Ok(est) => println!("{est}"),

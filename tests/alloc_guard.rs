@@ -404,3 +404,47 @@ fn snapshot_counts_claiming_the_whole_payload_reserve_within_its_length() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A well-formed version-2 snapshot file of `(0|1)*1` at length 2^40, with
+/// a matching fingerprint and no artifact sections: only the length is out
+/// of reach. Rebuilding its DAG would reserve a state set per layer, so the
+/// decoder must refuse it at the admission bound, before building anything.
+#[test]
+fn a_snapshot_claiming_a_huge_length_is_refused_before_anything_is_built() {
+    use lsc_core::engine::{SnapshotError, SnapshotStore};
+    use lsc_core::PreparedInstance;
+
+    let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+    let ab = Alphabet::binary();
+    let text = lsc_automata::io::to_text(&Regex::parse("(0|1)*1", &ab).unwrap().compile());
+    let nfa = lsc_automata::io::from_text(&text).unwrap();
+    let length = 1u64 << 40;
+    let mut payload = Vec::new();
+    put(&mut payload, length);
+    put(&mut payload, text.len() as u64);
+    payload.extend_from_slice(text.as_bytes());
+    payload.push(0); // no artifact sections
+    let mut file = b"LSCSNAP1".to_vec();
+    file.extend_from_slice(&2u32.to_le_bytes());
+    put(
+        &mut file,
+        PreparedInstance::instance_fingerprint(&nfa, length as usize),
+    );
+    put(&mut file, payload.len() as u64);
+    put(&mut file, fnv64(&payload));
+    file.extend_from_slice(&payload);
+
+    let dir = std::env::temp_dir().join(format!("lsc-alloc-huge-{}", std::process::id()));
+    let store = SnapshotStore::open(&dir).unwrap();
+    let (bytes, imported) = allocated_during(|| store.import_bytes(&file));
+    assert!(
+        matches!(imported, Err(SnapshotError::Corrupt(_))),
+        "{imported:?}"
+    );
+    assert!(
+        bytes <= 64 << 10,
+        "refusing a {}-byte file allocated {bytes} bytes",
+        file.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
