@@ -11,4 +11,4 @@ mod parser;
 
 pub use ast::Regex;
 pub use glushkov::compile_glushkov;
-pub use parser::ParseError;
+pub use parser::{ParseError, MAX_NESTING};

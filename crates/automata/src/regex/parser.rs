@@ -27,24 +27,37 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting [`Regex::parse`] accepts, counting each `(` group
+/// and each stacked `*`/`+`/`?` as one level. In-repo patterns nest a
+/// handful of levels; the bound keeps an untrusted pattern from recursing
+/// the parser, the compiler, or the syntax tree's drop off the stack.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     chars: Vec<(usize, char)>,
     pos: usize,
     alphabet: &'a Alphabet,
+    /// Groups open around the current position.
+    open: usize,
 }
+
+/// A parsed subexpression and its nesting height.
+type Parsed = (Regex, usize);
 
 /// Parses `pattern` into a [`Regex`] over `alphabet`.
 ///
 /// Grammar: `alt := concat ('|' concat)*`, `concat := repeat*`,
 /// `repeat := atom ('*'|'+'|'?')*`, `atom := literal | '.' | '(' alt ')'`.
-/// An empty alternative denotes ε (so `a|` is `a|ε`).
+/// An empty alternative denotes ε (so `a|` is `a|ε`). Nesting past
+/// [`MAX_NESTING`] is a parse error.
 pub fn parse(pattern: &str, alphabet: &Alphabet) -> Result<Regex, ParseError> {
     let mut p = Parser {
         chars: pattern.char_indices().collect(),
         pos: 0,
         alphabet,
+        open: 0,
     };
-    let r = p.alt()?;
+    let (r, _) = p.alt()?;
     match p.peek() {
         None => Ok(r),
         Some((at, c)) => Err(ParseError {
@@ -67,76 +80,99 @@ impl Parser<'_> {
         c
     }
 
-    fn alt(&mut self) -> Result<Regex, ParseError> {
-        let mut parts = vec![self.concat()?];
+    fn too_deep(position: usize) -> ParseError {
+        ParseError {
+            position,
+            message: format!("nesting deeper than {MAX_NESTING} levels"),
+        }
+    }
+
+    fn alt(&mut self) -> Result<Parsed, ParseError> {
+        let (first, mut height) = self.concat()?;
+        let mut parts = vec![first];
         while let Some((_, '|')) = self.peek() {
             self.bump();
-            parts.push(self.concat()?);
+            let (part, h) = self.concat()?;
+            parts.push(part);
+            height = height.max(h);
         }
-        Ok(if parts.len() == 1 {
+        let r = if parts.len() == 1 {
             parts.pop().unwrap()
         } else {
             Regex::Alt(parts)
-        })
+        };
+        Ok((r, height))
     }
 
-    fn concat(&mut self) -> Result<Regex, ParseError> {
+    fn concat(&mut self) -> Result<Parsed, ParseError> {
         let mut parts = Vec::new();
+        let mut height = 0;
         loop {
             match self.peek() {
                 None | Some((_, '|')) | Some((_, ')')) => break,
-                _ => parts.push(self.repeat()?),
+                _ => {
+                    let (part, h) = self.repeat()?;
+                    parts.push(part);
+                    height = height.max(h);
+                }
             }
         }
-        Ok(match parts.len() {
+        let r = match parts.len() {
             0 => Regex::Epsilon,
             1 => parts.pop().unwrap(),
             _ => Regex::Concat(parts),
-        })
+        };
+        Ok((r, height))
     }
 
-    fn repeat(&mut self) -> Result<Regex, ParseError> {
-        let mut r = self.atom()?;
+    fn repeat(&mut self) -> Result<Parsed, ParseError> {
+        let (mut r, mut height) = self.atom()?;
         loop {
-            match self.peek() {
-                Some((_, '*')) => {
-                    self.bump();
-                    r = Regex::Star(Box::new(r));
-                }
-                Some((_, '+')) => {
-                    self.bump();
-                    r = Regex::Plus(Box::new(r));
-                }
-                Some((_, '?')) => {
-                    self.bump();
-                    r = Regex::Opt(Box::new(r));
-                }
-                _ => return Ok(r),
+            let wrap: fn(Box<Regex>) -> Regex = match self.peek() {
+                Some((_, '*')) => Regex::Star,
+                Some((_, '+')) => Regex::Plus,
+                Some((_, '?')) => Regex::Opt,
+                _ => return Ok((r, height)),
+            };
+            let (at, _) = self.bump().expect("peeked");
+            height += 1;
+            if height > MAX_NESTING {
+                return Err(Self::too_deep(at));
             }
+            r = wrap(Box::new(r));
         }
     }
 
-    fn atom(&mut self) -> Result<Regex, ParseError> {
+    fn atom(&mut self) -> Result<Parsed, ParseError> {
         match self.bump() {
             None => Err(ParseError {
                 position: self.chars.last().map_or(0, |&(i, _)| i + 1),
                 message: "unexpected end of pattern".into(),
             }),
-            Some((_, '(')) => {
-                let inner = self.alt()?;
+            Some((at, '(')) => {
+                if self.open == MAX_NESTING {
+                    return Err(Self::too_deep(at));
+                }
+                self.open += 1;
+                let inner = self.alt();
+                self.open -= 1;
+                let (inner, height) = inner?;
+                if height == MAX_NESTING {
+                    return Err(Self::too_deep(at));
+                }
                 match self.bump() {
-                    Some((_, ')')) => Ok(inner),
+                    Some((_, ')')) => Ok((inner, height + 1)),
                     other => Err(ParseError {
                         position: other.map_or(self.chars.len(), |(i, _)| i),
                         message: "expected ')'".into(),
                     }),
                 }
             }
-            Some((_, '.')) => Ok(Regex::AnySymbol),
-            Some((_, 'ε')) => Ok(Regex::Epsilon),
-            Some((_, '∅')) => Ok(Regex::Empty),
+            Some((_, '.')) => Ok((Regex::AnySymbol, 0)),
+            Some((_, 'ε')) => Ok((Regex::Epsilon, 0)),
+            Some((_, '∅')) => Ok((Regex::Empty, 0)),
             Some((at, c)) => match self.alphabet.symbol_of(c) {
-                Some(s) => Ok(Regex::Literal(s)),
+                Some(s) => Ok((Regex::Literal(s), 0)),
                 None => Err(ParseError {
                     position: at,
                     message: format!("character {c:?} is not in the alphabet"),
@@ -193,6 +229,27 @@ mod tests {
             parse("a|", &ab()).unwrap(),
             Regex::Alt(vec![Regex::Literal(0), Regex::Epsilon])
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let groups = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&groups(MAX_NESTING), &ab()).is_ok());
+        let e = parse(&groups(MAX_NESTING + 1), &ab()).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert_eq!(e.position, MAX_NESTING);
+        // Stacked postfix operators count one level each.
+        let stars = |depth: usize| format!("a{}", "*".repeat(depth));
+        assert!(parse(&stars(MAX_NESTING), &ab()).is_ok());
+        let e = parse(&stars(MAX_NESTING + 1), &ab()).unwrap_err();
+        assert_eq!(e.position, MAX_NESTING + 1);
+        // Groups and operators add up: each group of `(x)*` is two levels.
+        let mixed = |depth: usize| format!("{}a{}", "(".repeat(depth), ")*".repeat(depth));
+        assert!(parse(&mixed(MAX_NESTING / 2), &ab()).is_ok());
+        assert!(parse(&format!("{}?", mixed(MAX_NESTING / 2)), &ab()).is_err());
+        // Far past the bound is refused, not a stack overflow.
+        assert!(parse(&"(".repeat(20_000), &ab()).is_err());
+        assert!(parse(&groups(20_000), &ab()).is_err());
     }
 
     #[test]

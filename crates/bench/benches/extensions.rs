@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_automata::ops::ambiguity_degree;
 use lsc_automata::{families as nfa_families, Alphabet, Nfa};
 use lsc_bdd::BddManager;
-use lsc_core::engine::{count_routed, RouterConfig};
+use lsc_core::engine::RouterConfig;
+use lsc_core::PreparedInstance;
 use lsc_grammar::{families as cfg_families, Cnf, DerivationTable, TreeSampler};
 use lsc_nnf::compile::from_obdd;
 use lsc_nnf::{count_models, ModelEnumerator};
@@ -81,7 +82,11 @@ fn bench_router(c: &mut Criterion) {
     for (name, nfa) in cases {
         let mut rng = StdRng::seed_from_u64(2);
         group.bench_function(name, |b| {
-            b.iter(|| count_routed(&nfa, 12, &config, &mut rng).expect("router"))
+            b.iter(|| {
+                PreparedInstance::new(nfa.clone(), 12)
+                    .count_routed(&config, &mut rng)
+                    .expect("router")
+            })
         });
     }
     group.finish();

@@ -6,10 +6,10 @@ use std::time::Instant;
 use lsc_automata::ops::{ambiguity_degree, AmbiguityDegree};
 use lsc_automata::{families as nfa_families, Alphabet, Nfa};
 use lsc_bdd::{obdd_to_ufa, BddManager, BddRef};
-use lsc_core::engine::{count_routed, CountRoute, RouterConfig};
+use lsc_core::engine::{CountRoute, RouterConfig};
 use lsc_core::fpras::FprasParams;
 use lsc_core::sample::SampleStats;
-use lsc_core::MemNfa;
+use lsc_core::{MemNfa, PreparedInstance};
 use lsc_grammar::regular::to_mem_nfa;
 use lsc_grammar::{families as cfg_families, Cnf, DerivationTable, TreeSampler};
 use lsc_nnf::checks::{determinism_violation, CheckOutcome};
@@ -194,7 +194,9 @@ pub fn run_e11() {
             AmbiguityDegree::Polynomial { degree } => format!("Θ(n^{degree})"),
             AmbiguityDegree::Exponential => "2^Θ(n)".to_owned(),
         };
-        let routed = count_routed(nfa, 14, &config, &mut rng).expect("router");
+        let routed = PreparedInstance::new(nfa.clone(), 14)
+            .count_routed(&config, &mut rng)
+            .expect("router");
         let route = match routed.route {
             CountRoute::ExactUnambiguous => "exact #L DP".to_owned(),
             CountRoute::ExactDeterminized { dfa_states } => format!("DFA ({dfa_states} subsets)"),

@@ -40,9 +40,10 @@
 //!   exactly one shard, the server's handle entries run there, and answers
 //!   stay bit-identical to the single-engine path. Typed domain sessions
 //!   are served by [`Engine`] alone.
-//! * [`count_routed`] and the route vocabulary ([`CountRoute`],
-//!   [`RouterConfig`], [`RoutedCount`]) — the ambiguity-aware counting
-//!   router, with routing decisions cached per instance.
+//! * The route vocabulary ([`CountRoute`], [`RouterConfig`],
+//!   [`RoutedCount`]) of the ambiguity-aware counting router
+//!   ([`PreparedInstance::count_routed`]), with routing decisions cached
+//!   per instance.
 //!
 //! [`crate::MemNfa`] is a thin convenience wrapper over one private
 //! [`PreparedInstance`]; the engine is the same machinery with sharing
@@ -62,6 +63,6 @@ pub use cursor::{
 };
 pub use prepared::PreparedInstance;
 pub use queryable::{domain_fingerprint, Queryable};
-pub use router::{count_routed, CountRoute, RoutedCount, RouterConfig};
+pub use router::{CountRoute, RoutedCount, RouterConfig};
 pub use shard::{ShardMap, ShardedConfig, ShardedEngine, ShardedStats};
 pub use snapshot::{SnapshotError, SnapshotStore, SweepReport, WarmReport};

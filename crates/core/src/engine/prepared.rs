@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use lsc_arith::{BigFloat, BigNat};
 use lsc_automata::ops::{ambiguity_degree, determinize_capped, is_unambiguous, AmbiguityDegree};
 use lsc_automata::unroll::UnrolledDag;
-use lsc_automata::{Dfa, Nfa, Word};
+use lsc_automata::{Dfa, Nfa};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -488,51 +488,6 @@ impl PreparedInstance {
         })
     }
 
-    /// Draws up to `count` witnesses: the exact table sampler on the UFA
-    /// route, the cached-sketch Las Vegas sampler (with `retries` attempts
-    /// per witness) otherwise. An empty language yields an empty vector;
-    /// on the Las Vegas route a witness whose every attempt rejected is
-    /// skipped, so the result may be shorter than `count`.
-    ///
-    /// # Errors
-    /// Propagates [`FprasError`] from the (cached) sketch build.
-    pub fn sample_witnesses(
-        &self,
-        count: usize,
-        retries: usize,
-        fpras: FprasParams,
-        sketch_seed: u64,
-        draw_seed: u64,
-    ) -> Result<Vec<Word>, FprasError> {
-        let mut rng = StdRng::seed_from_u64(draw_seed);
-        if self.is_unambiguous() {
-            let sampler = self.uniform_sampler().expect("checked unambiguous");
-            let mut out = Vec::with_capacity(count);
-            for _ in 0..count {
-                match sampler.sample(&mut rng) {
-                    Some(w) => out.push(w),
-                    None => break, // empty language
-                }
-            }
-            return Ok(out);
-        }
-        let sketch = self.fpras_sketch(fpras, sketch_seed)?;
-        if sketch.is_empty_language() {
-            return Ok(Vec::new());
-        }
-        let mut sampler = sketch.witness_sampler();
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            for _ in 0..retries.max(1) {
-                if let Some(w) = sampler.sample(&mut rng) {
-                    out.push(w);
-                    break;
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Rough heap footprint of the materialized artifact in bytes — the
     /// sizing input for the engine's byte-capped LRU cache. Lazily-built
     /// tables only count once they exist, so an entry's recorded size grows
@@ -569,7 +524,7 @@ mod tests {
     use super::*;
     use lsc_automata::families::blowup_nfa;
     use lsc_automata::regex::Regex;
-    use lsc_automata::Alphabet;
+    use lsc_automata::{Alphabet, Word};
 
     #[test]
     fn admission_counts_unrolled_cells_and_never_overflows() {

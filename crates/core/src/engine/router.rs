@@ -16,19 +16,19 @@
 //! 3. **FPRAS**: the general case — `(1 ± δ)`-approximation with
 //!    probability ≥ 3/4 (Theorem 22).
 //!
-//! This module holds the route vocabulary and the one-shot entry point. The
-//! decision machinery lives on [`PreparedInstance`], where the ambiguity
-//! check, the determinization probe, and the per-route tables are all cached
-//! — so under the engine a routing decision is made once per instance, not
-//! re-probed per request as the original standalone `count::router` did.
+//! This module holds the route vocabulary. The decision machinery lives on
+//! [`PreparedInstance`], where the ambiguity check, the determinization
+//! probe, and the per-route tables are all cached — so under the engine a
+//! routing decision is made once per instance, not re-probed per request as
+//! the original standalone `count::router` did. A one-shot routed count is
+//! `PreparedInstance::new(nfa, n).count_routed(&config, &mut rng)`.
+//!
+//! [`PreparedInstance`]: crate::engine::PreparedInstance
 
 use lsc_arith::{BigFloat, BigNat};
 use lsc_automata::ops::AmbiguityDegree;
-use lsc_automata::Nfa;
-use rand::Rng;
 
-use crate::engine::prepared::PreparedInstance;
-use crate::fpras::{FprasError, FprasParams};
+use crate::fpras::FprasParams;
 
 /// Which counting algorithm the router selected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,27 +88,11 @@ impl RoutedCount {
     }
 }
 
-/// Counts `|L_n(N)|`, choosing the cheapest sound algorithm — the one-shot
-/// entry point, compiling a transient [`PreparedInstance`] per call. For
-/// repeated queries, hold the instance (or go through
-/// [`crate::engine::Engine`]) so the classification and tables are reused.
-///
-/// # Errors
-/// Propagates [`FprasError`] when the FPRAS route fires and its (vanishing
-/// probability) internal failure events occur; exact routes cannot fail.
-pub fn count_routed<R: Rng + ?Sized>(
-    nfa: &Nfa,
-    n: usize,
-    config: &RouterConfig,
-    rng: &mut R,
-) -> Result<RoutedCount, FprasError> {
-    PreparedInstance::new(nfa.clone(), n).count_routed(config, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count::exact::count_nfa_via_determinization;
+    use crate::engine::PreparedInstance;
     use lsc_automata::families::{ambiguity_gap_nfa, blowup_nfa, universal_nfa};
     use lsc_automata::regex::Regex;
     use lsc_automata::Alphabet;
@@ -122,7 +106,9 @@ mod tests {
     #[test]
     fn unambiguous_goes_exact() {
         let n = blowup_nfa(6);
-        let r = count_routed(&n, 14, &RouterConfig::default(), &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), 14)
+            .count_routed(&RouterConfig::default(), &mut rng())
+            .unwrap();
         assert_eq!(r.route, CountRoute::ExactUnambiguous);
         assert_eq!(r.degree, Some(AmbiguityDegree::Unambiguous));
         assert_eq!(r.exact.unwrap(), count_nfa_via_determinization(&n, 14));
@@ -133,7 +119,9 @@ mod tests {
         // a*a*-style ambiguity with a tiny DFA: route 2 fires.
         let ab = Alphabet::from_chars(&['a', 'b']);
         let n = Regex::parse("(a|b)*a(a|b)*", &ab).unwrap().compile();
-        let r = count_routed(&n, 10, &RouterConfig::default(), &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), 10)
+            .count_routed(&RouterConfig::default(), &mut rng())
+            .unwrap();
         match r.route {
             CountRoute::ExactDeterminized { dfa_states } => assert!(dfa_states <= 8),
             other => panic!("expected determinized route, got {other:?}"),
@@ -153,7 +141,9 @@ mod tests {
             determinization_cap: 2,
             ..RouterConfig::default()
         };
-        let r = count_routed(&n, len, &config, &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), len)
+            .count_routed(&config, &mut rng())
+            .unwrap();
         assert_eq!(r.route, CountRoute::Fpras);
         assert_eq!(r.degree, Some(AmbiguityDegree::Exponential));
         assert!(r.exact.is_none());
@@ -170,7 +160,9 @@ mod tests {
             determinization_cap: 0,
             ..RouterConfig::default()
         };
-        let r = count_routed(&n, 8, &config, &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), 8)
+            .count_routed(&config, &mut rng())
+            .unwrap();
         assert_eq!(r.route, CountRoute::Fpras);
     }
 
@@ -181,7 +173,9 @@ mod tests {
             classify_ambiguity: false,
             ..RouterConfig::default()
         };
-        let r = count_routed(&n, 16, &config, &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), 16)
+            .count_routed(&config, &mut rng())
+            .unwrap();
         assert_eq!(r.route, CountRoute::ExactUnambiguous);
         assert_eq!(r.degree, None);
         assert_eq!(r.exact.unwrap().to_f64(), 65536.0);
@@ -191,7 +185,9 @@ mod tests {
     fn empty_language_routes_exact_zero() {
         let ab = Alphabet::binary();
         let n = Regex::parse("01", &ab).unwrap().compile();
-        let r = count_routed(&n, 7, &RouterConfig::default(), &mut rng()).unwrap();
+        let r = PreparedInstance::new(n.clone(), 7)
+            .count_routed(&RouterConfig::default(), &mut rng())
+            .unwrap();
         assert!(r.is_exact());
         assert!(r.exact.unwrap().is_zero());
         assert!(r.estimate.is_zero());

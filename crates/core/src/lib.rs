@@ -33,9 +33,9 @@
 //! a [`PreparedInstance`] caches the unrolled DAG, the ambiguity
 //! classification, and the per-problem tables behind one artifact (a
 //! [`MemNfa`] wraps exactly one of these), and an [`Engine`] keys prepared
-//! instances by structural fingerprint in a byte-capped LRU cache with a
-//! batched, deterministically-parallel request API. The ambiguity-aware
-//! counting router lives there too ([`engine::count_routed`]), with routing
+//! instances by structural fingerprint in a byte-capped LRU cache whose
+//! session handles answer every query. The ambiguity-aware counting router
+//! lives there too ([`PreparedInstance::count_routed`]), with routing
 //! decisions cached per instance.
 
 #![forbid(unsafe_code)]

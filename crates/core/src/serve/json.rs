@@ -175,16 +175,23 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. A request nests at
+/// most 3 levels; the bound keeps an untrusted line of `[[[[…` from
+/// recursing the parser (and the value's drop) off the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value, requiring the whole input (modulo surrounding
 /// whitespace) to be consumed.
 ///
 /// # Errors
-/// [`JsonParseError`] with the offending byte offset.
+/// [`JsonParseError`] with the offending byte offset, including at the
+/// bracket that nests past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonParseError> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -199,6 +206,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -239,8 +248,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -468,6 +488,27 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, mixed with arrays.
+        let objects = |depth: usize| {
+            format!(
+                "{}1{}",
+                "{\"a\":[".repeat(depth / 2),
+                "]}".repeat(depth / 2)
+            )
+        };
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 2)).is_err());
+        // Far past the bound is refused, not a stack overflow.
+        assert!(parse(&"[".repeat(20_000)).is_err());
     }
 
     #[test]

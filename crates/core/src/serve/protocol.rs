@@ -154,7 +154,7 @@ impl InstanceSpec {
     /// # Errors
     /// [`ErrorCode::BadRequest`] on an empty alphabet, a spec that does
     /// not parse, or an instance too large to admit.
-    pub(crate) fn compile(
+    pub fn compile(
         &self,
         default_alphabet: &str,
         length: usize,

@@ -1116,6 +1116,43 @@ mod tests {
         }
     }
 
+    /// The front parses and compiles on its own threads: a line nested
+    /// far past the JSON bound and a regex nested far past the pattern
+    /// bound are each a `bad-request`, and the connection keeps serving.
+    #[test]
+    fn deeply_nested_lines_are_bad_requests_at_the_front() {
+        let (nodes, _router, front) = cluster(2);
+        let mut client = Client::new(front.addr().to_string(), quick_client());
+        let groups = format!("{}0{}", "(".repeat(20_000), ")".repeat(20_000));
+        let replies = client
+            .pipeline_raw(&[
+                "[".repeat(20_000),
+                format!(r#"{{"op":"prepare","regex":"{groups}","length":3}}"#),
+                r#"{"op":"hello","proto":1}"#.to_string(),
+            ])
+            .unwrap();
+        for reply in &replies[..2] {
+            assert_eq!(
+                reply.get("code").and_then(Json::as_str),
+                Some("bad-request"),
+                "{}",
+                reply.encode()
+            );
+        }
+        assert_eq!(
+            replies[2].get("proto").and_then(Json::as_u64),
+            Some(1),
+            "{}",
+            replies[2].encode()
+        );
+        client.bye();
+        drop(front);
+        for (server, handle) in nodes {
+            drop(handle);
+            server.shutdown();
+        }
+    }
+
     /// Front sessions are connection-scoped: another connection naming
     /// this one's alias gets `unknown-session` for every verb, and the
     /// session and its cursor stay as they were.

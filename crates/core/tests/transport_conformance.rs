@@ -474,6 +474,35 @@ fn a_request_line_past_the_cap_closes_the_connection_on_both_transports() {
 }
 
 #[test]
+fn deeply_nested_lines_are_bad_requests_on_both_transports() {
+    // 20 000 open brackets, and a regex of 20 000 nested groups: each
+    // recursed a worker off its stack before the parsers bounded their
+    // nesting. Now each is a `bad-request`, and the connection (and its
+    // worker) keeps serving.
+    let groups = format!("{}0{}", "(".repeat(20_000), ")".repeat(20_000));
+    let deep_lines = [
+        "[".repeat(20_000),
+        format!(r#"{{"op":"prepare","regex":"{groups}","length":3}}"#),
+    ];
+    for transport in transports() {
+        let (server, mut handle) = spawn(transport);
+        let mut wire = Wire::connect(handle.addr());
+        for line in &deep_lines {
+            let reply = wire.rpc(line);
+            assert!(
+                reply.contains(r#""code":"bad-request""#),
+                "{transport:?}: {reply}"
+            );
+            let hello = wire.rpc(r#"{"op":"hello","proto":1}"#);
+            assert!(hello.contains(r#""ok":true"#), "{transport:?}: {hello}");
+        }
+        drop(wire);
+        handle.shutdown();
+        server.shutdown();
+    }
+}
+
+#[test]
 fn injected_job_panics_respawn_workers_and_the_pool_keeps_serving() {
     // The pool.rs respawn pin, end to end: with queued-job panics
     // injected at a rate that *will* fire, a 2-worker server must keep

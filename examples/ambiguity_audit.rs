@@ -12,7 +12,7 @@
 
 use logspace_repro::automata::families;
 use logspace_repro::automata::ops::{ambiguity_degree, AmbiguityDegree};
-use logspace_repro::core::engine::{count_routed, CountRoute, RouterConfig};
+use logspace_repro::core::engine::{CountRoute, RouterConfig};
 use logspace_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +75,9 @@ fn main() {
             AmbiguityDegree::Polynomial { degree } => format!("polynomial, Θ(n^{degree})"),
             AmbiguityDegree::Exponential => "exponential, 2^Θ(n)".to_owned(),
         };
-        let routed = count_routed(nfa, 12, &config, &mut rng).expect("router");
+        let routed = PreparedInstance::new(nfa.clone(), 12)
+            .count_routed(&config, &mut rng)
+            .expect("router");
         let route = match routed.route {
             CountRoute::ExactUnambiguous => "exact #L DP (Thm 5)".to_owned(),
             CountRoute::ExactDeterminized { dfa_states } => {

@@ -58,6 +58,36 @@ HELLO_AT="$(echo "$BIG_OUT" | grep -n '"ok":true,"proto":1' | head -n 1 | cut -d
 test -n "$BAD_AT" && test -n "$HELLO_AT" && test "$BAD_AT" -lt "$HELLO_AT"
 echo "oversized stdio smoke: ok"
 
+echo "== CLI smoke: every local verb refuses an instance past the admission bound =="
+# Each verb compiles through the server's spec compiler, so (0|1)* at
+# length 10^12 is a usage error (exit 2), never an allocation abort (134).
+expect_refused() {
+  local status=0
+  ERR="$("$@" 2>&1 >/dev/null)" || status=$?
+  test "$status" -eq 2 || { echo "$*: exit $status, expected 2"; exit 1; }
+  echo "$ERR" | grep -q 'instance too large' || { echo "$*: $ERR"; exit 1; }
+}
+HUGE=(--regex '(0|1)*' --length 1000000000000)
+expect_refused ./target/release/nfa_tool count "${HUGE[@]}"
+expect_refused ./target/release/nfa_tool count "${HUGE[@]}" --exact true
+expect_refused ./target/release/nfa_tool enumerate "${HUGE[@]}" --limit 1
+expect_refused ./target/release/nfa_tool sample "${HUGE[@]}"
+expect_refused ./target/release/nfa_tool route "${HUGE[@]}"
+expect_refused ./target/release/nfa_tool info "${HUGE[@]}"
+expect_refused sh -c "echo 'count (0|1)* 1000000000000' | ./target/release/nfa_tool batch"
+echo "CLI admission smoke: ok"
+
+echo "== stdio smoke: a line nested past the JSON bound is a bad request =="
+# 20 000 open brackets recursed the parser off its stack before the
+# nesting bound; now the line is answered bad-request, hello is still
+# answered, and the server exits 0 on bye.
+DEEP_OUT="$( { head -c 20000 /dev/zero | tr '\0' '['; printf '\n%s\n%s\n' \
+  '{"op":"hello","proto":1}' '{"op":"bye"}'; } | ./target/release/nfa_tool serve --stdio true)" \
+  || { echo "nfa_tool serve --stdio exited non-zero"; exit 1; }
+test "$(echo "$DEEP_OUT" | sed -n 1p | grep -c '"code":"bad-request"')" -eq 1
+test "$(echo "$DEEP_OUT" | sed -n 2p | grep -c '"ok":true,"proto":1')" -eq 1
+echo "nesting stdio smoke: ok"
+
 echo "== CLI golden: nfa_tool batch =="
 # Every line but the final `# cache:` summary, whose byte figure moves
 # with table layout and whose shard count follows the host's cores.

@@ -2,13 +2,15 @@
 //! NFA from the command line.
 //!
 //! ```text
-//! nfa-tool count     (--regex PAT | --file NFA.txt) --length N [--exact true | --delta D]
+//! nfa-tool count     (--regex PAT | --file NFA.txt) --length N [--exact true|false]
+//!                    [--delta D] [--cap C] [--seed S]
 //! nfa-tool enumerate (--regex PAT | --file NFA.txt) --length N [--limit K]
 //!                    [--page-size P] [--resume-token T]
 //! nfa-tool sample    (--regex PAT | --file NFA.txt) --length N [--count K] [--seed S]
 //! nfa-tool info      (--regex PAT | --file NFA.txt) [--length N]
 //! nfa-tool classify  (--regex PAT | --file NFA.txt)
-//! nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]
+//! nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C] [--delta D]
+//!                    [--seed S]
 //! nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT]
 //!                    [--snapshot-dirs D1,D2[,...]] [--retries R]
 //! nfa-tool batch     [--file QUERIES.txt] [--shards S] [--cache-mb M] [--seed S]
@@ -24,9 +26,20 @@
 //! ```
 //!
 //! `--regex` patterns use the alphabet given by `--alphabet` (default `01`).
-//! NFA files use the format of `lsc_automata::io`. `classify` reports the
-//! Weber–Seidl ambiguity class; `route` runs the ambiguity-aware counting
-//! router and reports which algorithm produced the count.
+//! NFA files use the format of `lsc_automata::io`.
+//!
+//! **One query path.** Every local verb and every `batch` line compiles
+//! through [`InstanceSpec::compile`], the server's spec compiler, whose
+//! admission bound turns an oversized `--length` into a usage error (exit
+//! 2). The instance resolves to a handle on a [`ShardedEngine`], and the
+//! handle entries answer as the server's do: `count` prints the routed
+//! count (`count_on`: exact where the ambiguity class or a `--cap`-bounded
+//! determinization allows, the FPRAS otherwise), `count --exact true` the
+//! exact one (`count_exact_on`), and `route` the routed count with its
+//! route and Weber–Seidl class; `sample` draws through `sample_on`,
+//! `enumerate` walks a cursor, and `info`/`classify` read the prepared
+//! instance. `--seed` (default `0xC0FFEE`) is the engine seed and the draw
+//! seed; `--delta D` sets the FPRAS route's accuracy to `1 ± D`.
 //!
 //! `route --backends` is the **cluster front-end**
 //! ([`lsc_core::serve::Router`]): it listens on `--listen` (default
@@ -39,23 +52,23 @@
 //! resumes their cursors from the last acknowledged token. See
 //! `docs/ARCHITECTURE.md` §8.
 //!
-//! `enumerate --page-size P` streams one page of `P` witnesses and prints a
-//! compact **resume token**; feeding it back via `--resume-token` continues
-//! the enumeration exactly where the previous page stopped (stitched pages
-//! are bit-identical to one uninterrupted run — see
-//! `lsc_core::engine::ResumeToken`). Tokens are bound to the instance: a
-//! token minted for one automaton/length is rejected by any other.
+//! `enumerate` lists every witness (up to `--limit`). With `--page-size P`
+//! it prints one page of `P` witnesses and a compact **resume token**;
+//! feeding it back via `--resume-token` continues the enumeration exactly
+//! where the previous page stopped (stitched pages are bit-identical to one
+//! uninterrupted run — see `lsc_core::engine::ResumeToken`). Tokens are
+//! bound to the instance: a token minted for one automaton/length is
+//! rejected by any other.
 //!
-//! `batch` answers many queries through one sharded prepared-instance
-//! engine ([`lsc_core::engine::ShardedEngine`]; `--shards`, default one
-//! per core) using the session flow: each query line is
+//! `batch` answers many queries through one engine (`--shards`, default
+//! one per core) using the session flow: each query line is compiled and
 //! resolved to an [`InstanceHandle`] first (repeated patterns hit the
 //! instance cache instead of recompiling), then the lines are answered one
 //! by one on their handles — `count`/`count-exact`/`sample` through the
-//! same handle methods the server uses, `enumerate` through a cursor with
+//! dispatch the one-shot verbs use, `enumerate` through a cursor with
 //! per-page progress (page size `--page-size`, default 100) and a printed
-//! resume token per page. Queries are read from
-//! `--file` (or stdin), one per line:
+//! resume token per page. Line `i` (from 0) draws with seed `--seed + i`.
+//! Queries are read from `--file` (or stdin), one per line:
 //!
 //! ```text
 //! count       PATTERN LENGTH
@@ -99,18 +112,18 @@ use std::io::Read;
 use std::process::exit;
 use std::sync::Arc;
 
-use lsc_automata::ops::{ambiguity_degree, AmbiguityDegree};
-use lsc_automata::regex::Regex;
-use lsc_automata::{format_word, io, Alphabet, Nfa};
+use lsc_arith::BigNat;
+use lsc_automata::ops::AmbiguityDegree;
+use lsc_automata::{format_word, Alphabet, Word};
 use lsc_core::engine::{
-    count_routed, CountRoute, EngineConfig, InstanceHandle, ResumeToken, RouterConfig,
-    ShardedConfig, ShardedEngine, WordCursor,
+    CountRoute, EngineConfig, InstanceHandle, QueryError, ResumeToken, RoutedCount, RouterConfig,
+    ShardedConfig, ShardedEngine,
 };
 use lsc_core::fpras::FprasParams;
-use lsc_core::sample::GenOutcome;
-use lsc_core::{MemNfa, PreparedInstance};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use lsc_core::serve::protocol::InstanceSpec;
+
+/// The alphabet of a `--regex` pattern without `--alphabet`.
+const DEFAULT_ALPHABET: &str = "01";
 
 struct Args {
     command: String,
@@ -152,66 +165,155 @@ impl Args {
                 .unwrap_or_else(|_| usage(&format!("--{key} expects a number")))
         })
     }
+
+    /// A yes/no option: `true`/`1`/`yes` or `false`/`0`/`no`; any other
+    /// value is a usage error.
+    fn get_bool(&self, key: &str) -> Option<bool> {
+        self.get(key).map(|v| match v {
+            "true" | "1" | "yes" => true,
+            "false" | "0" | "no" => false,
+            other => usage(&format!("--{key} expects true or false, got {other:?}")),
+        })
+    }
+
+    /// `--seed`: the engine seed and the draw seed.
+    fn seed(&self) -> u64 {
+        self.get_usize("seed").unwrap_or(0xC0FFEE) as u64
+    }
 }
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage:\n  nfa-tool count     (--regex PAT | --file NFA.txt) --length N [--exact true | --delta D]\n  \
+        "usage:\n  nfa-tool count     (--regex PAT | --file NFA.txt) --length N [--exact true|false] [--delta D] [--cap C] [--seed S]\n  \
            nfa-tool enumerate (--regex PAT | --file NFA.txt) --length N [--limit K] [--page-size P] [--resume-token T]\n  \
            nfa-tool sample    (--regex PAT | --file NFA.txt) --length N [--count K] [--seed S]\n  \
            nfa-tool info      (--regex PAT | --file NFA.txt) [--length N]\n  \
            nfa-tool classify  (--regex PAT | --file NFA.txt)\n  \
-           nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C]\n  \
+           nfa-tool route     (--regex PAT | --file NFA.txt) --length N [--cap C] [--delta D] [--seed S]\n  \
            nfa-tool route     --backends HOST:P1,HOST:P2[,...] [--listen HOST:PORT] [--snapshot-dirs D1,D2[,...]] [--retries R]\n  \
            nfa-tool batch     [--file QUERIES.txt] [--shards S] [--cache-mb M] [--seed S] [--page-size P]\n  \
            nfa-tool serve     [--port P | --stdio true] [--workers W] [--queue N] [--deadline-ms D] [--session-ttl-ms T] [--io-timeout-ms T] [--snapshot-dir DIR] [--cache-mb M] [--seed S] [--shards S] [--transport threaded|event-loop]\n  \
            nfa-tool query     --addr HOST:PORT (--regex PAT | --file NFA.txt) --length N [--op count|count-exact|enumerate|sample] [--page-size P] [--limit K] [--count K] [--seed S] [--resume-token T] [--retries R]\n  \
-           common: [--alphabet CHARS]  (default 01)\n\
+           common: [--alphabet CHARS]  (default 01); --seed is the engine seed and the draw seed; (length + 1) x states past the admission bound is refused\n\
            batch query lines: (count|count-exact|enumerate|sample) PATTERN LENGTH [LIMIT|COUNT]"
     );
     exit(2)
 }
 
-fn load_nfa(args: &Args) -> Nfa {
-    let alphabet_chars: Vec<char> = args.get("alphabet").unwrap_or("01").chars().collect();
-    let alphabet = Alphabet::from_chars(&alphabet_chars);
+/// The instance `--regex` (over `--alphabet`) or `--file` names.
+fn instance_spec(args: &Args) -> InstanceSpec {
     match (args.get("regex"), args.get("file")) {
-        (Some(pattern), None) => match Regex::parse(pattern, &alphabet) {
-            Ok(r) => r.compile(),
-            Err(e) => usage(&e.to_string()),
-        },
-        (None, Some(path)) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
-            io::from_text(&text).unwrap_or_else(|e| usage(&e.to_string()))
-        }
+        (Some(pattern), None) => regex_spec(args, pattern),
+        (None, Some(path)) => InstanceSpec::NfaText(
+            std::fs::read_to_string(path)
+                .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}"))),
+        ),
         _ => usage("provide exactly one of --regex or --file"),
     }
 }
 
-/// What a batch query line asks for.
-enum Verb {
+fn regex_spec(args: &Args, pattern: &str) -> InstanceSpec {
+    InstanceSpec::Regex {
+        pattern: pattern.to_string(),
+        alphabet: args.get("alphabet").map(str::to_string),
+    }
+}
+
+/// The engine every local verb answers through: `--shards` independent
+/// caches (default one per core) sharing `--cache-mb` MiB, seeded by
+/// `--seed`. Answers are bit-identical at any shard count; sharding only
+/// spreads cache resolution across independent LRUs.
+fn engine(args: &Args, router: RouterConfig) -> ShardedEngine {
+    ShardedEngine::new(ShardedConfig {
+        engine: EngineConfig {
+            router,
+            cache_bytes: args.get_usize("cache-mb").unwrap_or(256) << 20,
+            seed: args.seed(),
+            ..EngineConfig::default()
+        },
+        shards: args.get_usize("shards").unwrap_or(0),
+    })
+}
+
+/// The routing policy of a one-shot verb at witness length `length`:
+/// `--delta` sets the FPRAS route's accuracy, `--cap` the determinization
+/// cap.
+fn router_config(args: &Args, length: usize) -> RouterConfig {
+    let mut router = RouterConfig::default();
+    if let Some(text) = args.get("delta") {
+        let delta: f64 = text
+            .parse()
+            .unwrap_or_else(|_| usage("--delta expects a float"));
+        if !(delta > 0.0 && delta < 1.0) {
+            usage("--delta must be in (0, 1)");
+        }
+        router.fpras = FprasParams::with_accuracy(length, delta);
+    }
+    if let Some(cap) = args.get_usize("cap") {
+        router.determinization_cap = cap;
+    }
+    router
+}
+
+/// A verb one handle entry answers whole.
+enum Ask {
     Count,
     CountExact,
-    Enumerate { limit: usize },
     Sample { count: usize },
+}
+
+/// What [`ask`] answers.
+enum Answer {
+    Count(RoutedCount),
+    Exact(BigNat),
+    Words(Vec<Word>),
+}
+
+/// Answers `verb` on a session handle through the handle entry the
+/// server's `count`, `count_exact` or `sample` calls; `seed` is the draw
+/// seed.
+fn ask(
+    engine: &ShardedEngine,
+    handle: &InstanceHandle,
+    verb: &Ask,
+    seed: u64,
+) -> Result<Answer, QueryError> {
+    Ok(match *verb {
+        Ask::Count => Answer::Count(engine.count_on(handle)?.0),
+        Ask::CountExact => Answer::Exact(engine.count_exact_on(handle)?.0),
+        Ask::Sample { count } => Answer::Words(engine.sample_on(handle, seed, count)?.0),
+    })
+}
+
+/// `=` before an exact routed count, `≈` before an estimate.
+fn marker(routed: &RoutedCount) -> &'static str {
+    if routed.is_exact() {
+        "="
+    } else {
+        "≈"
+    }
+}
+
+/// What a batch query line asks for.
+enum Query {
+    Ask(Ask),
+    Enumerate { limit: usize },
 }
 
 /// One parsed batch query line.
 struct BatchLine {
     spec: String,
-    verb: Verb,
+    query: Query,
     /// The line's session; `was_cached` tags the answer `hit`/`miss`.
     handle: InstanceHandle,
+    alphabet: Alphabet,
     seed: u64,
 }
 
 /// The `batch` subcommand: many queries, one engine, session handles and
 /// cursors end to end.
 fn run_batch(args: &Args) {
-    let alphabet_chars: Vec<char> = args.get("alphabet").unwrap_or("01").chars().collect();
-    let alphabet = Alphabet::from_chars(&alphabet_chars);
     let text = match args.get("file") {
         Some(path) => std::fs::read_to_string(path)
             .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}"))),
@@ -223,19 +325,9 @@ fn run_batch(args: &Args) {
             buf
         }
     };
-    let seed = args.get_usize("seed").unwrap_or(0xC0FFEE) as u64;
+    let seed = args.seed();
     let page_size = args.get_usize("page-size").unwrap_or(100).max(1);
-    let config = EngineConfig {
-        cache_bytes: args.get_usize("cache-mb").unwrap_or(256) << 20,
-        seed,
-        ..EngineConfig::default()
-    };
-    // Answers are bit-identical at any shard count; sharding only spreads
-    // cache resolution across independent LRUs (default: one per core).
-    let engine = ShardedEngine::new(ShardedConfig {
-        engine: config,
-        shards: args.get_usize("shards").unwrap_or(0),
-    });
+    let engine = engine(args, RouterConfig::default());
     // Phase 1 — the session flow: each line resolves to an instance handle
     // (compiling its pattern at most once engine-wide), so the answers
     // below run on handles, never automata.
@@ -259,29 +351,28 @@ fn run_batch(args: &Args) {
             v.parse()
                 .unwrap_or_else(|_| bad("extra arg must be a number"))
         });
-        let verb = match command {
-            "count" => Verb::Count,
-            "count-exact" => Verb::CountExact,
+        let query = match command {
+            "count" => Query::Ask(Ask::Count),
+            "count-exact" => Query::Ask(Ask::CountExact),
             // An absent LIMIT defaults to a bounded prefix rather than
             // streaming the whole language (use the `enumerate` subcommand
             // for full listings).
-            "enumerate" => Verb::Enumerate {
+            "enumerate" => Query::Enumerate {
                 limit: extra.unwrap_or(1000),
             },
-            "sample" => Verb::Sample {
+            "sample" => Query::Ask(Ask::Sample {
                 count: extra.unwrap_or(1),
-            },
+            }),
             _ => bad("unknown command"),
         };
-        let nfa = match Regex::parse(pattern, &alphabet) {
-            Ok(r) => Arc::new(r.compile()),
-            Err(e) => bad(&e.to_string()),
-        };
-        let handle = engine.prepare_nfa(&nfa, length);
+        let (nfa, alphabet) = regex_spec(args, pattern)
+            .compile(DEFAULT_ALPHABET, length)
+            .unwrap_or_else(|e| bad(&e.message));
         lines.push(BatchLine {
             spec: format!("{command} {pattern} @{length}"),
-            verb,
-            handle,
+            query,
+            handle: engine.prepare_nfa(&Arc::new(nfa), length),
+            alphabet,
             seed: seed.wrapping_add(lines.len() as u64),
         });
     }
@@ -294,31 +385,26 @@ fn run_batch(args: &Args) {
             "miss"
         };
         let head = format!("[{}] {} [{tag}]", i + 1, line.spec);
-        let answer = match line.verb {
-            Verb::Enumerate { limit } => {
+        let verb = match &line.query {
+            Query::Enumerate { limit } => {
                 println!("{head}: streaming up to {limit} witnesses in pages of {page_size}");
-                stream_pages(&engine, &line.handle, limit, page_size, &alphabet);
+                stream_pages(&engine, &line.handle, *limit, page_size, &line.alphabet);
                 continue;
             }
-            Verb::Count => engine.count_on(&line.handle).map(|(routed, _)| {
-                let marker = if routed.is_exact() { "=" } else { "≈" };
-                format!("{marker} {}", routed.estimate)
-            }),
-            Verb::CountExact => engine
-                .count_exact_on(&line.handle)
-                .map(|(count, _)| format!("= {count}")),
-            Verb::Sample { count } => {
-                engine
-                    .sample_on(&line.handle, line.seed, count)
-                    .map(|(words, _)| {
-                        let shown: Vec<String> =
-                            words.iter().map(|w| format_word(w, &alphabet)).collect();
-                        format!("{} words: {}", words.len(), shown.join(" "))
-                    })
-            }
+            Query::Ask(verb) => verb,
         };
-        match answer {
-            Ok(text) => println!("{head}: {text}"),
+        match ask(&engine, &line.handle, verb, line.seed) {
+            Ok(Answer::Count(routed)) => {
+                println!("{head}: {} {}", marker(&routed), routed.estimate)
+            }
+            Ok(Answer::Exact(count)) => println!("{head}: = {count}"),
+            Ok(Answer::Words(words)) => {
+                let shown: Vec<String> = words
+                    .iter()
+                    .map(|w| format_word(w, &line.alphabet))
+                    .collect();
+                println!("{head}: {} words: {}", words.len(), shown.join(" "));
+            }
             Err(e) => println!("{head}: error: {e}"),
         }
     }
@@ -372,43 +458,150 @@ fn stream_pages(
     );
 }
 
-/// The `enumerate` subcommand: full streaming by default, paged streaming
-/// with resume tokens under `--page-size`.
-fn run_enumerate(args: &Args, nfa: Nfa, alphabet: &Alphabet) {
-    let n = args
-        .get_usize("length")
-        .unwrap_or_else(|| usage("--length required"));
-    let limit = args.get_usize("limit").unwrap_or(usize::MAX);
-    match args.get_usize("page-size") {
-        None => {
-            // Unpaged: stream every witness (up to --limit) to stdout.
-            let inst = MemNfa::new(nfa, n);
-            for w in inst.enumerate().take(limit) {
-                println!("{}", format_word(&w, alphabet));
-            }
-        }
-        Some(page_size) => {
-            let inst = Arc::new(PreparedInstance::new(nfa, n));
-            let mut cursor = match args.get("resume-token") {
-                None => WordCursor::fresh(inst),
-                Some(text) => {
-                    let token = ResumeToken::parse(text).unwrap_or_else(|e| usage(&e.to_string()));
-                    WordCursor::resume(inst, &token).unwrap_or_else(|e| usage(&e.to_string()))
-                }
-            };
-            for w in cursor.by_ref().take(page_size.min(limit)) {
-                println!("{}", format_word(&w, alphabet));
-            }
-            if cursor.is_done() {
-                eprintln!("# exhausted after {} witness(es)", cursor.rank());
-            } else {
-                eprintln!("# {} witness(es) so far; continue with:", cursor.rank());
-                eprintln!(
-                    "#   --page-size {page_size} --resume-token {}",
-                    cursor.token()
+/// The one-shot verbs: compile `--regex`/`--file` at `--length` (0 for
+/// `classify`, and for `info` without one), resolve it on the engine
+/// `batch` builds, and answer through its handle entries.
+fn run_one_shot(args: &Args) {
+    let command = args.command.as_str();
+    let length = match command {
+        "classify" => 0,
+        "info" => args.get_usize("length").unwrap_or(0),
+        "count" | "enumerate" | "sample" | "route" => args
+            .get_usize("length")
+            .unwrap_or_else(|| usage("--length required")),
+        other => usage(&format!("unknown command {other:?}")),
+    };
+    let (nfa, alphabet) = instance_spec(args)
+        .compile(DEFAULT_ALPHABET, length)
+        .unwrap_or_else(|e| usage(&e.message));
+    let engine = engine(args, router_config(args, length));
+    let handle = engine.prepare_nfa(&Arc::new(nfa), length);
+    let inst = handle.instance();
+    let verb = match command {
+        "info" => {
+            println!("{}", inst.nfa().describe());
+            println!("unambiguous: {}", inst.is_unambiguous());
+            if length > 0 {
+                println!(
+                    "witnesses exist at length {length}: {}",
+                    inst.exists_witness()
                 );
             }
+            return;
         }
+        "classify" => {
+            let (class, note) = match inst.ambiguity() {
+                AmbiguityDegree::Unambiguous => (
+                    "unambiguous".to_owned(),
+                    "Theorem 5 applies: exact counting, constant delay, exact uniform sampling",
+                ),
+                AmbiguityDegree::Finite => (
+                    "finitely ambiguous".to_owned(),
+                    "runs-per-word bounded by a constant; Theorem 2 toolbox applies",
+                ),
+                AmbiguityDegree::Polynomial { degree } => (
+                    format!("polynomially ambiguous, Θ(n^{degree})"),
+                    "runs-per-word grows polynomially; Theorem 2 toolbox applies",
+                ),
+                AmbiguityDegree::Exponential => (
+                    "exponentially ambiguous, 2^Θ(n)".to_owned(),
+                    "the §6.1 naive estimator is hopeless here; use the FPRAS",
+                ),
+            };
+            println!("{class}");
+            println!("({note})");
+            return;
+        }
+        "enumerate" => return run_enumerate(args, &engine, &handle, &alphabet),
+        "sample" => Ask::Sample {
+            count: args.get_usize("count").unwrap_or(1),
+        },
+        "count" if args.get_bool("exact") == Some(true) => Ask::CountExact,
+        _ => Ask::Count,
+    };
+    match ask(&engine, &handle, &verb, args.seed()) {
+        Ok(Answer::Count(routed)) if command == "route" => {
+            let route = match routed.route {
+                CountRoute::ExactUnambiguous => "exact #L dynamic program (Thm 5)".into(),
+                CountRoute::ExactDeterminized { dfa_states } => {
+                    format!("exact DFA count ({dfa_states} subsets)")
+                }
+                CountRoute::Fpras => "FPRAS (Thm 22)".into(),
+            };
+            println!("{} {}", marker(&routed), routed.estimate);
+            println!("route: {route}");
+            if let Some(degree) = routed.degree {
+                println!("class: {degree:?}");
+            }
+        }
+        Ok(Answer::Count(routed)) => println!("{}", routed.estimate),
+        Ok(Answer::Exact(count)) => println!("{count}"),
+        Ok(Answer::Words(words)) => {
+            for word in &words {
+                println!("{}", format_word(word, &alphabet));
+            }
+            // The stream ends early only on an empty language or a draw
+            // that exhausted its Las Vegas retries.
+            if matches!(verb, Ask::Sample { count } if words.len() < count) {
+                eprintln!(
+                    "{}",
+                    if inst.exists_witness() {
+                        "Las Vegas generation failed after retries"
+                    } else {
+                        "witness set is empty"
+                    }
+                );
+                exit(1);
+            }
+        }
+        Err(QueryError::NotUnambiguous) => {
+            eprintln!("automaton is ambiguous; exact counting unavailable (use --delta)");
+            exit(1);
+        }
+        Err(e) => {
+            eprintln!("FPRAS failure: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// The `enumerate` subcommand: every witness (up to `--limit`) off one
+/// cursor, or one `--page-size` page of them and a resume token. Either
+/// way the cursor starts at `--resume-token` when one is given.
+fn run_enumerate(
+    args: &Args,
+    engine: &ShardedEngine,
+    handle: &InstanceHandle,
+    alphabet: &Alphabet,
+) {
+    let mut cursor = match args.get("resume-token") {
+        None => engine.cursor(handle),
+        Some(text) => {
+            let token = ResumeToken::parse(text).unwrap_or_else(|e| usage(&e.to_string()));
+            engine
+                .resume_cursor(handle, &token)
+                .unwrap_or_else(|e| usage(&e.to_string()))
+        }
+    };
+    let limit = args.get_usize("limit").unwrap_or(usize::MAX);
+    let page_size = args.get_usize("page-size");
+    for w in cursor
+        .by_ref()
+        .take(page_size.unwrap_or(usize::MAX).min(limit))
+    {
+        println!("{}", format_word(&w, alphabet));
+    }
+    let Some(page_size) = page_size else {
+        return;
+    };
+    if cursor.is_done() {
+        eprintln!("# exhausted after {} witness(es)", cursor.rank());
+    } else {
+        eprintln!("# {} witness(es) so far; continue with:", cursor.rank());
+        eprintln!(
+            "#   --page-size {page_size} --resume-token {}",
+            cursor.token()
+        );
     }
 }
 
@@ -473,13 +666,7 @@ fn run_serve(args: &Args) {
             warm.loaded, warm.rejected
         );
     }
-    let stdio = match args.get("stdio") {
-        None => false,
-        Some("true" | "1" | "yes") => true,
-        Some("false" | "0" | "no") => false,
-        Some(other) => usage(&format!("--stdio expects true or false, got {other:?}")),
-    };
-    if stdio {
+    if args.get_bool("stdio") == Some(true) {
         eprintln!("# serving on stdio (one JSON request per line; \"bye\" or EOF ends)");
         server.serve_stdio();
         server.shutdown();
@@ -578,25 +765,14 @@ fn run_route_cluster(args: &Args) {
 /// resumption all transparent).
 fn run_query(args: &Args) {
     use lsc_core::serve::json::Json;
-    use lsc_core::serve::protocol::InstanceSpec;
     use lsc_core::serve::{Client, ClientConfig, ClientError};
 
     let addr = args.get("addr").unwrap_or("127.0.0.1:7411").to_string();
     let length = args
         .get_usize("length")
         .unwrap_or_else(|| usage("--length required"));
-    let spec = match (args.get("regex"), args.get("file")) {
-        (Some(pattern), None) => InstanceSpec::Regex {
-            pattern: pattern.to_string(),
-            alphabet: args.get("alphabet").map(str::to_string),
-        },
-        (None, Some(path)) => InstanceSpec::NfaText(
-            std::fs::read_to_string(path)
-                .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}"))),
-        ),
-        _ => usage("provide exactly one of --regex or --file"),
-    };
-    let seed = args.get_usize("seed").unwrap_or(0xC0FFEE) as u64;
+    let spec = instance_spec(args);
+    let seed = args.seed();
     let mut client = Client::new(
         addr,
         ClientConfig {
@@ -692,170 +868,15 @@ fn run_query(args: &Args) {
 
 fn main() {
     let args = Args::parse();
-    if args.command == "batch" {
-        run_batch(&args);
-        return;
-    }
-    if args.command == "serve" {
-        run_serve(&args);
-        return;
-    }
-    if args.command == "query" {
-        run_query(&args);
-        return;
-    }
-    // `route` with a backend fleet is the cluster front-end; without one
-    // it stays the local ambiguity-aware counting router below.
-    if args.command == "route" && (args.get("backends").is_some() || args.get("listen").is_some()) {
-        run_route_cluster(&args);
-        return;
-    }
-    let nfa = load_nfa(&args);
-    let alphabet = nfa.alphabet().clone();
-    let mut rng = StdRng::seed_from_u64(args.get_usize("seed").unwrap_or(0xC0FFEE) as u64);
     match args.command.as_str() {
-        "info" => {
-            println!("{}", nfa.describe());
-            let inst = MemNfa::new(nfa, args.get_usize("length").unwrap_or(0));
-            println!("unambiguous: {}", inst.is_unambiguous());
-            if inst.length() > 0 {
-                println!(
-                    "witnesses exist at length {}: {}",
-                    inst.length(),
-                    inst.exists_witness()
-                );
-            }
+        "batch" => run_batch(&args),
+        "serve" => run_serve(&args),
+        "query" => run_query(&args),
+        // `route` with a backend fleet is the cluster front-end; without
+        // one it is the local routed count.
+        "route" if args.get("backends").is_some() || args.get("listen").is_some() => {
+            run_route_cluster(&args)
         }
-        "count" => {
-            let n = args
-                .get_usize("length")
-                .unwrap_or_else(|| usage("--length required"));
-            let inst = MemNfa::new(nfa, n);
-            if args.get("exact").is_some() {
-                match inst.count_exact() {
-                    Ok(c) => println!("{c}"),
-                    Err(_) => {
-                        eprintln!(
-                            "automaton is ambiguous; exact counting unavailable (use --delta)"
-                        );
-                        exit(1);
-                    }
-                }
-            } else {
-                let delta: f64 = args
-                    .get("delta")
-                    .map(|v| {
-                        v.parse()
-                            .unwrap_or_else(|_| usage("--delta expects a float"))
-                    })
-                    .unwrap_or(0.1);
-                if !(delta > 0.0 && delta < 1.0) {
-                    usage("--delta must be in (0, 1)");
-                }
-                let params = FprasParams::with_accuracy(n, delta);
-                match inst.count_approx(params, &mut rng) {
-                    Ok(est) => println!("{est}"),
-                    Err(e) => {
-                        eprintln!("FPRAS failure: {e}");
-                        exit(1);
-                    }
-                }
-            }
-        }
-        "enumerate" => run_enumerate(&args, nfa, &alphabet),
-        "sample" => {
-            let n = args
-                .get_usize("length")
-                .unwrap_or_else(|| usage("--length required"));
-            let count = args.get_usize("count").unwrap_or(1);
-            let inst = MemNfa::new(nfa, n);
-            if inst.is_unambiguous() {
-                let sampler = inst.uniform_sampler().expect("checked unambiguous");
-                for _ in 0..count {
-                    match sampler.sample(&mut rng) {
-                        Some(w) => println!("{}", format_word(&w, &alphabet)),
-                        None => {
-                            eprintln!("witness set is empty");
-                            exit(1);
-                        }
-                    }
-                }
-            } else {
-                let generator = inst
-                    .las_vegas_generator(FprasParams::quick(), &mut rng)
-                    .unwrap_or_else(|e| {
-                        eprintln!("FPRAS failure: {e}");
-                        exit(1)
-                    });
-                for _ in 0..count {
-                    match generator.generate(&mut rng) {
-                        GenOutcome::Witness(w) => println!("{}", format_word(&w, &alphabet)),
-                        GenOutcome::Empty => {
-                            eprintln!("witness set is empty");
-                            exit(1);
-                        }
-                        GenOutcome::Fail => {
-                            eprintln!("Las Vegas generation failed after retries");
-                            exit(1);
-                        }
-                    }
-                }
-            }
-        }
-        "classify" => {
-            let degree = ambiguity_degree(&nfa);
-            let (class, note) = match degree {
-                AmbiguityDegree::Unambiguous => (
-                    "unambiguous".to_owned(),
-                    "Theorem 5 applies: exact counting, constant delay, exact uniform sampling",
-                ),
-                AmbiguityDegree::Finite => (
-                    "finitely ambiguous".to_owned(),
-                    "runs-per-word bounded by a constant; Theorem 2 toolbox applies",
-                ),
-                AmbiguityDegree::Polynomial { degree } => (
-                    format!("polynomially ambiguous, Θ(n^{degree})"),
-                    "runs-per-word grows polynomially; Theorem 2 toolbox applies",
-                ),
-                AmbiguityDegree::Exponential => (
-                    "exponentially ambiguous, 2^Θ(n)".to_owned(),
-                    "the §6.1 naive estimator is hopeless here; use the FPRAS",
-                ),
-            };
-            println!("{class}");
-            println!("({note})");
-        }
-        "route" => {
-            let n = args
-                .get_usize("length")
-                .unwrap_or_else(|| usage("--length required"));
-            let cap = args.get_usize("cap").unwrap_or(4096);
-            let config = RouterConfig {
-                determinization_cap: cap,
-                ..RouterConfig::default()
-            };
-            match count_routed(&nfa, n, &config, &mut rng) {
-                Ok(routed) => {
-                    let route = match routed.route {
-                        CountRoute::ExactUnambiguous => "exact #L dynamic program (Thm 5)".into(),
-                        CountRoute::ExactDeterminized { dfa_states } => {
-                            format!("exact DFA count ({dfa_states} subsets)")
-                        }
-                        CountRoute::Fpras => "FPRAS (Thm 22)".into(),
-                    };
-                    let marker = if routed.is_exact() { "=" } else { "≈" };
-                    println!("{marker} {}", routed.estimate);
-                    println!("route: {route}");
-                    if let Some(degree) = routed.degree {
-                        println!("class: {degree:?}");
-                    }
-                }
-                Err(e) => {
-                    eprintln!("FPRAS failure: {e}");
-                    exit(1);
-                }
-            }
-        }
-        other => usage(&format!("unknown command {other:?}")),
+        _ => run_one_shot(&args),
     }
 }

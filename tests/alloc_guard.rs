@@ -15,7 +15,9 @@
 //! process-wide counter charged one guard's window with whatever its
 //! sibling allocated at the same time (the 20k-state automaton below).
 //! The guarded code is single-threaded (engine queries run on the calling
-//! thread), so nothing it allocates escapes its counter.
+//! thread), so nothing it allocates escapes its counter. Untrusted request
+//! lines get the same treatment: `parse_request` answers a request or a
+//! typed `bad-request`, within a constant factor of the line's length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -311,6 +313,116 @@ fn a_million_pair_decision_list_is_rejected_without_copying_it() {
         "resume allocated {resume_bytes} bytes rejecting an oversized list"
     );
     assert!(resume_untrusted(&text).is_ok());
+}
+
+// ---- untrusted request lines ----
+
+/// One valid line per verb (both `prepare` spec forms).
+const REQUEST_LINES: [&str; 11] = [
+    r#"{"op":"hello","proto":1,"id":7}"#,
+    r#"{"op":"prepare","regex":"(0|1)*11","alphabet":"01","length":6,"id":"a"}"#,
+    r#"{"op":"prepare","nfa_text":"alphabet: 01\nstates: 1\n","length":3}"#,
+    r#"{"op":"count","session":"s1"}"#,
+    r#"{"op":"count_exact","session":"s1","proto":1}"#,
+    r#"{"op":"enumerate","session":"s1","page_size":5,"resume":"enum1.00000000deadbeef.7.p1-0-1"}"#,
+    r#"{"op":"sample","session":"s1","count":3,"seed":9}"#,
+    r#"{"op":"close","session":"s1"}"#,
+    r#"{"op":"stats"}"#,
+    r#"{"op":"health","id":[1,{"k":null}]}"#,
+    r#"{"op":"bye"}"#,
+];
+
+/// The numeric fields a request may carry.
+const NUMERIC_FIELDS: [&str; 6] = ["proto", "id", "length", "page_size", "count", "seed"];
+
+/// Out-of-range or mistyped replacements for a numeric field.
+const BAD_NUMBERS: [&str; 4] = ["-1", "1e300", "18446744073709551616", r#""7""#];
+
+/// `line` with the numeric value of `field` replaced by `value`, if the
+/// line carries that field as a number.
+fn with_number(line: &str, field: &str, value: &str) -> Option<String> {
+    let key = format!("\"{field}\":");
+    let start = line.find(&key)? + key.len();
+    let len = line[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(line.len() - start);
+    (len > 0).then(|| format!("{}{value}{}", &line[..start], &line[start + len..]))
+}
+
+/// A `hello` carrying a field nested `depth` arrays deep.
+fn nested_hello(depth: usize) -> String {
+    format!(
+        r#"{{"op":"hello","x":{}0{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    )
+}
+
+/// Parses an untrusted request line: the outcome is a request or a
+/// `bad-request` with a message, and parsing allocates at most a constant
+/// factor of the line. Returns whether it parsed.
+fn parse_untrusted(line: &str) -> Result<bool, String> {
+    use lsc_core::serve::protocol::parse_request;
+    use lsc_core::serve::ErrorCode;
+
+    let (bytes, outcome) = allocated_during(|| {
+        parse_request(line)
+            .map(|_| ())
+            .map_err(|e| (e.code, e.message))
+    });
+    let bound = 16 * line.len() + (16 << 10);
+    if bytes > bound {
+        return Err(format!("{line:?}: allocated {bytes} bytes (bound {bound})"));
+    }
+    match outcome {
+        Ok(()) => Ok(true),
+        Err((ErrorCode::BadRequest, message)) if !message.is_empty() => Ok(false),
+        Err((code, message)) => Err(format!("{line:?}: {code:?} {message:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn untrusted_request_lines_parse_or_are_bad_requests_within_an_input_bound(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        pick in 0usize..1 << 16,
+        at in 0usize..1 << 16,
+        flip in 1usize..256,
+        number in 0usize..BAD_NUMBERS.len(),
+        extra in 0usize..8,
+    ) {
+        use lsc_core::serve::json::MAX_DEPTH;
+
+        let fail = TestCaseError::Fail;
+        let line = REQUEST_LINES[pick % REQUEST_LINES.len()];
+        prop_assert!(parse_untrusted(line).map_err(fail)?, "{} must parse", line);
+        parse_untrusted(&String::from_utf8_lossy(&bytes)).map_err(fail)?;
+        // Truncated at each byte (each char boundary: lines are `&str`).
+        for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            parse_untrusted(&line[..cut]).map_err(fail)?;
+        }
+        // One byte flipped.
+        let mut flipped = line.as_bytes().to_vec();
+        flipped[at % line.len()] ^= flip as u8;
+        parse_untrusted(&String::from_utf8_lossy(&flipped)).map_err(fail)?;
+        // Each numeric field out of range or mistyped.
+        for field in NUMERIC_FIELDS {
+            if let Some(mutated) = with_number(line, field, BAD_NUMBERS[number]) {
+                parse_untrusted(&mutated).map_err(fail)?;
+            }
+        }
+        // Nesting around the bound (the object adds one level), and far
+        // past it: refused without recursing off the stack.
+        let depth = MAX_DEPTH - 4 + extra;
+        prop_assert_eq!(
+            parse_untrusted(&nested_hello(depth)).map_err(fail)?,
+            depth < MAX_DEPTH
+        );
+        prop_assert!(!parse_untrusted(&nested_hello(20_000 + extra)).map_err(fail)?);
+        prop_assert!(!parse_untrusted(&"[".repeat(20_000 + extra)).map_err(fail)?);
+    }
 }
 
 // ---- untrusted snapshots ----

@@ -17,7 +17,6 @@ use lsc_automata::ops::{
     accepting_runs_on_word, ambiguity_degree, is_unambiguous, AmbiguityDegree,
 };
 use lsc_bdd::{obdd_to_ufa, BddManager};
-use lsc_core::engine::{count_routed, RouterConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +57,9 @@ fn grammar_round_trip_count_agrees_with_router() {
         let g = cfg_families::random_right_linear(5, Alphabet::binary(), 0.35, 0.5, &mut grng);
         let nfa = right_linear_to_nfa(&g).unwrap();
         let n = 9;
-        let routed = count_routed(&nfa, n, &RouterConfig::default(), &mut rng).unwrap();
+        let routed = PreparedInstance::new(nfa.clone(), n)
+            .count_routed(&RouterConfig::default(), &mut rng)
+            .unwrap();
         let oracle = MemNfa::new(nfa.clone(), n).count_oracle();
         if let Some(exact) = &routed.exact {
             assert_eq!(exact, &oracle, "seed {seed}");
@@ -265,7 +266,7 @@ proptest! {
     fn router_exact_routes_match_oracle(seed in 0u64..300, n in 1usize..9) {
         let nfa = nfa_from_seed(seed, 5, 0.3);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let routed = count_routed(&nfa, n, &RouterConfig::default(), &mut rng).unwrap();
+        let routed = PreparedInstance::new(nfa.clone(), n).count_routed(&RouterConfig::default(), &mut rng).unwrap();
         if let Some(exact) = routed.exact {
             prop_assert_eq!(exact, MemNfa::new(nfa, n).count_oracle());
         }
