@@ -1,29 +1,38 @@
-//! E18: the serving layer — wire-protocol request latency, multi-client
-//! throughput, and the snapshot warm-restart headline.
+//! E17–E24: the serving layer — multi-client throughput, warm restarts,
+//! shard scaling, standing connections and the cluster failover cycle.
 //!
-//! Three questions, one group each:
+//! Single-connection request latency is perfbench's to price, end to end
+//! and per layer: warm `count` and page round trips over threaded TCP are
+//! the `warm-wire` workload (`count_p50_us`/`count_p90_us`,
+//! `enumerate_p50_us`/`enumerate_p90_us`), and the router hop is the
+//! `routed-wire` workload against `warm-wire` (the same metrics, plus
+//! `serve.router.hop_us` in its traced run). The groups here measure what
+//! no perfbench workload runs:
 //!
-//! * `e18-request-latency` — what does the wire protocol cost per request
-//!   on a warm session? One persistent TCP connection, one
-//!   `count` / one fixed `enumerate` page per iteration: JSON parse +
-//!   pool round trip + engine serve + JSON encode + socket round trip.
 //! * `e18-throughput` — does concurrency help? `k` clients (fresh TCP
 //!   connections) each issue 8 warm `count` requests per iteration,
 //!   against the default 4-worker pool.
 //! * `e17-warm-restart` — the snapshot-store acceptance measurement:
-//!   server-start-to-first-answer on `blowup(10)@40`, cold (no snapshot
-//!   store: full compile — ambiguity product, unrolling, completion DP)
-//!   vs warm restart (populated store: load + checksum + eager DAG
-//!   rebuild, zero recompilation). `scripts/bench.sh` turns the two means
-//!   into the `BENCH_serve.json` `warm_restart_speedup`.
+//!   server-start-to-first-answer on a four-motif automaton at length 120,
+//!   cold (no snapshot store: full compile — ambiguity classification,
+//!   determinization probe, completion DP) vs warm restart (populated
+//!   store: load + checksum + eager DAG rebuild, zero recompilation).
+//!   `scripts/bench.sh` turns the two means into the `BENCH_serve.json`
+//!   `warm_restart_speedup`.
+//! * `e19-shard-scaling` — 8 concurrent clients on 8 distinct warm
+//!   instances, 1 shard vs 8.
+//! * `e23-sketch-persistence` — server start to first approximate count,
+//!   full sketch rebuild vs a snapshot that carries the sketch.
 //! * `e20-connection-scaling` — what do standing connections cost? Warm
 //!   `count` RTT on one hot connection while a 512-connection idle herd
 //!   sits on the server, threaded transport vs the readiness event loop
 //!   (`ServeConfig::transport`).
-//! * `e24-route-overhead` — what does the cluster front-end cost? Warm
-//!   `count` RTT direct vs via `nfa_tool route`, and the
-//!   failover-resume headline: the same prepare/page/page cycle with
-//!   and without the home backend killed between the pages.
+//! * `e24-route-overhead` — what does losing a backend cost? The
+//!   failover-resume headline: the same prepare/page/page cycle through
+//!   `Router` with and without the home backend killed between the pages.
+//!
+//! `scripts/bench_check.sh` gates E20, E23 and the E24 failover cycle
+//! against the parent commit on the same host.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -61,48 +70,6 @@ fn field<'a>(response: &'a str, key: &str) -> &'a str {
     let start = response.find(&tag).expect("field present") + tag.len();
     let end = response[start..].find('"').expect("terminated") + start;
     &response[start..end]
-}
-
-/// Per-request latency over one warm TCP connection.
-fn serve_request_latency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve/e18-request-latency");
-    group.sample_size(10);
-    let server = Server::new(ServeConfig::default()).unwrap();
-    let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
-    let (mut reader, mut writer) = connect(handle.addr());
-    let w = workloads::engine_ufa_instance();
-    let text = lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n");
-    let prepared = rpc(
-        &mut reader,
-        &mut writer,
-        &format!(r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#, w.n),
-    );
-    let session = field(&prepared, "session").to_string();
-    // Warm every table once, and pin a start-of-stream token so each
-    // enumerate iteration does identical work.
-    let count_line = format!(r#"{{"op":"count","session":"{session}"}}"#);
-    rpc(&mut reader, &mut writer, &count_line);
-    let page = rpc(
-        &mut reader,
-        &mut writer,
-        &format!(r#"{{"op":"enumerate","session":"{session}","page_size":1}}"#),
-    );
-    let _ = page;
-
-    group.bench_function(BenchmarkId::from_parameter("count-warm"), |b| {
-        b.iter(|| rpc(&mut reader, &mut writer, &count_line));
-    });
-    let page_line = format!(
-        r#"{{"op":"enumerate","session":"{session}","page_size":16,"resume":"enum1.{:016x}.0.s"}}"#,
-        u64::from_str_radix(field(&prepared, "fingerprint"), 16).unwrap()
-    );
-    group.bench_function(BenchmarkId::from_parameter("enumerate-page16-warm"), |b| {
-        b.iter(|| rpc(&mut reader, &mut writer, &page_line));
-    });
-    group.finish();
-    drop((reader, writer));
-    handle.shutdown();
-    server.shutdown();
 }
 
 /// Multi-client throughput: k connections × 8 warm counts per iteration.
@@ -406,8 +373,8 @@ fn serve_sketch_persistence(c: &mut Criterion) {
 /// the server while one hot connection runs warm `count` round trips.
 /// One benchmark id per transport: the threaded transport pays a parked
 /// reader thread per idle connection, the event loop a registered-but-
-/// silent epoll entry; the gate (`scripts/bench_check.sh`) holds the
-/// event loop's warm-count RTT within 25% of its committed mean, and the
+/// silent epoll entry; the gate (`scripts/bench_check.sh`) holds each
+/// transport's warm-count RTT within 25% of the parent commit's, and the
 /// snapshot records the event-loop/threaded ratio.
 fn serve_connection_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve/e20-connection-scaling");
@@ -458,22 +425,16 @@ fn serve_connection_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// E24: the cluster front-end's toll. Two questions:
-///
-/// * `count-warm/*` — what does one routing hop cost? Warm `count` RTT
-///   against a backend directly vs through [`Router`] (same wire
-///   protocol; the router adds one JSON re-parse and one forwarded RPC
-///   over its persistent backend connection).
-/// * `failover/*` — what does losing the home backend cost a live
-///   cursor? Both ids run the same full cycle — start two backends and
-///   a router, prepare, take one page, take a second page, tear down —
-///   but `kill-resume-cycle` kills the session's home backend between
-///   the pages, so the second page pays death detection (the router's
-///   fast-fail retry budget), ring shrink, re-prepare on the survivor,
-///   and cursor resume from the last acknowledged token. The
-///   failover-resume latency is the *difference* between the two cycle
-///   means; `scripts/bench.sh` records it in `BENCH_serve.json` as
-///   `failover_resume_ms`.
+/// E24: what does losing the home backend cost a live cursor? Both ids
+/// run the same full cycle — start two backends and a router, prepare,
+/// take one page, take a second page, tear down — but `kill-resume-cycle`
+/// kills the session's home backend between the pages, so the second page
+/// pays death detection (the router's fast-fail retry budget), ring
+/// shrink, re-prepare on the survivor, and cursor resume from the last
+/// acknowledged token. The failover-resume latency is the *difference*
+/// between the two cycle means; `scripts/bench.sh` records it in
+/// `BENCH_serve.json` as `failover_resume_ms`. (The router's per-request
+/// hop is perfbench's `routed-wire` workload.)
 fn serve_route_overhead(c: &mut Criterion) {
     use lsc_core::engine::{PreparedInstance, ShardMap};
     use lsc_core::serve::{BackendSpec, ClientConfig, RouteConfig, Router};
@@ -500,40 +461,7 @@ fn serve_route_overhead(c: &mut Criterion) {
         ..RouteConfig::default()
     };
 
-    // Part 1 — warm count RTT, direct vs via the router.
-    let w = workloads::engine_ufa_instance();
-    let text = lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n");
-    let prepare_line = format!(r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#, w.n);
-    let server = Server::new(small(ServeConfig::default())).unwrap();
-    let mut backend = server.spawn_tcp("127.0.0.1:0").unwrap();
-    let router = Router::new(route_config(vec![BackendSpec::new(
-        backend.addr().to_string(),
-    )]))
-    .unwrap();
-    let mut front = router.spawn_tcp("127.0.0.1:0").unwrap();
-    for (name, addr) in [("direct", backend.addr()), ("via-router", front.addr())] {
-        let (mut reader, mut writer) = connect(addr);
-        let prepared = rpc(&mut reader, &mut writer, &prepare_line);
-        let session = field(&prepared, "session").to_string();
-        let count_line = format!(r#"{{"op":"count","session":"{session}"}}"#);
-        // Eight RPCs per iteration: a single warm RTT is ~20µs, small
-        // enough that one scheduler preemption swamps a 5-sample mean
-        // and trips the bench_check gate. The hop *ratio* is unchanged.
-        rpc(&mut reader, &mut writer, &count_line); // warm the route
-        group.bench_function(BenchmarkId::new("count-warm", name), |b| {
-            b.iter(|| {
-                for _ in 0..8 {
-                    rpc(&mut reader, &mut writer, &count_line);
-                }
-            });
-        });
-    }
-    front.shutdown();
-    backend.shutdown();
-    server.shutdown();
-
-    // Part 2 — the failover cycle, with and without the kill. The home
-    // backend is computed the way the router computes it (`ShardMap`
+    // The home backend is computed the way the router computes it (`ShardMap`
     // over two shards with the default replica count), so the kill
     // always hits the node actually holding the cursor.
     let pattern = "(0|1)*11";
@@ -589,7 +517,6 @@ fn serve_route_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    serve_request_latency,
     serve_throughput,
     serve_warm_restart,
     serve_shard_scaling,

@@ -64,5 +64,6 @@ pub use cursor::{
 pub use prepared::PreparedInstance;
 pub use queryable::{domain_fingerprint, Queryable};
 pub use router::{CountRoute, RoutedCount, RouterConfig};
+pub(crate) use shard::splitmix64;
 pub use shard::{ShardMap, ShardedConfig, ShardedEngine, ShardedStats};
 pub use snapshot::{SnapshotError, SnapshotStore, SweepReport, WarmReport};

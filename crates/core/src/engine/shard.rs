@@ -44,8 +44,9 @@ use crate::engine::prepared::PreparedInstance;
 use crate::engine::router::RoutedCount;
 
 /// SplitMix64 — the ring/key mixer. Cheap, stateless, and well distributed
-/// even for near-sequential inputs (shard ids, replica indices).
-fn splitmix64(mut x: u64) -> u64 {
+/// even for near-sequential inputs (shard ids, replica indices). Also the
+/// fault plan's decision mixer and the client's backoff jitter.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

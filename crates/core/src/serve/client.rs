@@ -51,7 +51,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::serve::faults::splitmix64;
+use crate::engine::splitmix64;
 use crate::serve::json::{self, Json};
 use crate::serve::protocol::{ErrorCode, InstanceSpec, PROTOCOL_VERSION};
 

@@ -41,14 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// SplitMix64 — the decision mixer (identical constants to the shard
-/// ring's; see `engine::shard`). Shared with the client's backoff jitter.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use crate::engine::splitmix64;
 
 /// Where in the stack an operation is about to happen. Each site draws
 /// from its own decision stream (own salt, own operation counter).

@@ -187,19 +187,33 @@ pub const MAX_DEPTH: usize = 128;
 /// [`JsonParseError`] with the offending byte offset, including at the
 /// bracket that nests past [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        at: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(p.err("trailing input after value"));
-    }
-    Ok(value)
+    Parser::new(text).whole(Parser::value)
+}
+
+/// Parses an untrusted line that should hold one object, building only
+/// the top-level members whose key is in `keep`. Every other value is
+/// checked exactly as [`parse`] checks it (syntax and [`MAX_DEPTH`]) but
+/// never built, so a line costs memory for its kept members alone; a
+/// million-element array under an unread key costs nothing. Returns
+/// `Ok(None)` for well-formed JSON that is not an object.
+///
+/// # Errors
+/// As [`parse`].
+pub fn parse_object(text: &str, keep: &[&str]) -> Result<Option<Json>, JsonParseError> {
+    Parser::new(text).whole(|p| {
+        if p.peek() != Some(b'{') {
+            return p.skip().map(|()| None);
+        }
+        let mut members = Vec::new();
+        p.seq(|p, key| match key.filter(|k| keep.contains(&k.as_str())) {
+            Some(key) => {
+                members.push((key, p.value()?));
+                Ok(())
+            }
+            None => p.skip(),
+        })?;
+        Ok(Some(Json::Obj(members)))
+    })
 }
 
 struct Parser<'a> {
@@ -210,7 +224,31 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            at: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs `read` on the whole input, which must hold exactly one value
+    /// between optional whitespace.
+    fn whole<T>(
+        mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonParseError>,
+    ) -> Result<T, JsonParseError> {
+        self.skip_ws();
+        let value = read(&mut self)?;
+        self.skip_ws();
+        if self.at != self.bytes.len() {
+            return Err(self.err("trailing input after value"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: &str) -> JsonParseError {
         JsonParseError {
             at: self.at,
@@ -248,18 +286,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{' | b'[') => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err("nesting too deep"));
-                }
-                self.depth += 1;
-                let value = if self.peek() == Some(b'{') {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                value
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.seq(|p, key| {
+                    members.push((key.expect("objects pass keys"), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq(|p, _| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
             }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -270,53 +311,58 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonParseError> {
-        self.expect(b'{')?;
-        let mut members: Vec<(String, Json)> = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
+    /// Checks one value as [`Parser::value`] would, building no array or
+    /// object: only a string's own bytes are allocated, and freed at once.
+    fn skip(&mut self) -> Result<(), JsonParseError> {
+        match self.peek() {
+            Some(b'{' | b'[') => self.seq(|p, _| p.skip()),
+            _ => self.value().map(drop),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Walks the array or object at the cursor, handing each element to
+    /// `each` (with its key, for an object), which must consume the value.
+    /// Each open container counts one level against [`MAX_DEPTH`].
+    fn seq(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Option<String>) -> Result<(), JsonParseError>,
+    ) -> Result<(), JsonParseError> {
+        let (keyed, close, expected) = match self.peek() {
+            Some(b'{') => (true, b'}', "expected ',' or '}'"),
+            _ => (false, b']', "expected ',' or ']'"),
+        };
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        self.at += 1;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.at += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let key = if keyed {
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                Some(key)
+            } else {
+                None
+            };
+            each(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
-                Some(b']') => {
+                Some(c) if c == close => {
                     self.at += 1;
-                    return Ok(Json::Arr(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
+                _ => return Err(self.err(expected)),
             }
         }
     }
@@ -487,7 +533,19 @@ mod tests {
             "\"a\u{01}b\"",
         ] {
             assert!(parse(text).is_err(), "accepted {text:?}");
+            // The same value skipped under an unread key, and as the line.
+            let member = format!(r#"{{"a":{text}}}"#);
+            assert!(parse_object(&member, &[]).is_err(), "accepted {member:?}");
+            assert!(parse_object(text, &[]).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn parse_object_builds_only_kept_members() {
+        let line = r#" {"op":"hello","x":[1,{"y":"\u00e9"}],"id":[2]} "#;
+        let value = parse_object(line, &["op", "id"]).unwrap().unwrap();
+        assert_eq!(value.encode(), r#"{"op":"hello","id":[2]}"#);
+        assert_eq!(parse_object("[1,[]]", &["op"]), Ok(None));
     }
 
     #[test]
@@ -509,6 +567,11 @@ mod tests {
         assert!(parse(&objects(MAX_DEPTH + 2)).is_err());
         // Far past the bound is refused, not a stack overflow.
         assert!(parse(&"[".repeat(20_000)).is_err());
+        // Skipped values count the same levels (the object is one).
+        let member = |depth: usize| format!(r#"{{"x":{}}}"#, arrays(depth));
+        assert!(parse_object(&member(MAX_DEPTH - 1), &[]).is_ok());
+        assert!(parse_object(&member(MAX_DEPTH), &[]).is_err());
+        assert!(parse_object(&arrays(MAX_DEPTH + 1), &[]).is_err());
     }
 
     #[test]

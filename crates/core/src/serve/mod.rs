@@ -79,5 +79,5 @@ pub use faults::{Fault, FaultConfig, FaultPlan, FaultSite, FaultStats, FaultyStr
 pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use protocol::{ErrorCode, WireError, PROTOCOL_VERSION};
 pub use router::{BackendSpec, RouteConfig, RouteStats, Router};
-pub use server::{ServeConfig, ServeStats, Server, Transport};
+pub use server::{ServeConfig, ServeStats, Server, Transport, DEFAULT_PAGE_SIZE};
 pub use session::SessionRegistry;

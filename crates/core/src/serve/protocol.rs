@@ -257,16 +257,33 @@ pub struct Envelope {
     pub request: Request,
 }
 
+/// Every member [`parse_request`] reads. The parse builds only these; any
+/// other member of a line is checked for well-formedness and dropped
+/// unbuilt, so an unread field cannot make a line cost more than its bytes.
+const REQUEST_FIELDS: [&str; 12] = [
+    "proto",
+    "id",
+    "op",
+    "session",
+    "length",
+    "regex",
+    "nfa_text",
+    "alphabet",
+    "page_size",
+    "resume",
+    "count",
+    "seed",
+];
+
 /// Parses one request line.
 ///
 /// # Errors
 /// [`WireError`] with [`ErrorCode::BadRequest`] on malformed JSON, an
 /// unknown op, a protocol-version mismatch, or missing/mistyped fields.
 pub fn parse_request(line: &str) -> Result<Envelope, WireError> {
-    let value = json::parse(line).map_err(|e| WireError::bad(e.to_string()))?;
-    if !matches!(value, Json::Obj(_)) {
-        return Err(WireError::bad("request must be a JSON object"));
-    }
+    let value = json::parse_object(line, &REQUEST_FIELDS)
+        .map_err(|e| WireError::bad(e.to_string()))?
+        .ok_or_else(|| WireError::bad("request must be a JSON object"))?;
     if let Some(proto) = value.get("proto") {
         if proto.as_u64() != Some(PROTOCOL_VERSION) {
             return Err(WireError::bad(format!(

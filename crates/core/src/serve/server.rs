@@ -83,6 +83,10 @@ impl Transport {
     }
 }
 
+/// Page size for `enumerate` requests that do not specify one, on the wire
+/// and on the command line.
+pub const DEFAULT_PAGE_SIZE: usize = 100;
+
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -111,8 +115,6 @@ pub struct ServeConfig {
     pub snapshot_dir: Option<PathBuf>,
     /// Alphabet for `prepare` ops that send a regex without one.
     pub default_alphabet: String,
-    /// Page size for `enumerate` ops that do not specify one.
-    pub default_page_size: usize,
     /// Upper bound on wire-supplied `page_size` and sample `count` —
     /// deadlines only cover queue time, so this is what stops one request
     /// from pinning a worker (and buffering unbounded witnesses)
@@ -150,7 +152,6 @@ impl Default for ServeConfig {
             session_ttl: Duration::from_secs(300),
             snapshot_dir: None,
             default_alphabet: "01".to_string(),
-            default_page_size: 100,
             max_batch: 100_000,
             read_timeout: Some(Duration::from_secs(300)),
             write_timeout: Some(Duration::from_secs(30)),
@@ -646,7 +647,7 @@ impl ServerInner {
                 page_size,
                 resume,
             } => {
-                let page_size = page_size.unwrap_or(self.config.default_page_size);
+                let page_size = page_size.unwrap_or(DEFAULT_PAGE_SIZE);
                 self.check_batch_size("page_size", page_size)?;
                 self.with_session(conn, &session, |s, me| {
                     let mut cursor = match &resume {

@@ -4,7 +4,9 @@
 # run, and the engine + cursor + serve benches must at least execute (smoke
 # invocations with a tiny sample budget — trajectory numbers come from
 # scripts/bench.sh), and the perfbench harness must pass its own tests and
-# short checked runs of the warm, bulk and routed workloads.
+# short checked runs of the warm, bulk and routed workloads. The last step
+# is the criterion regression gate: it builds the parent commit and runs the
+# gated groups on the parent and the change alternately on this host.
 #
 # Usage: scripts/ci.sh
 
@@ -195,7 +197,7 @@ python3 perfbench/run.py --workload bulk-stream --seed 1 --seconds 2 --trace 0
 echo "== perfbench: 2 s checked routed-wire smoke =="
 python3 perfbench/run.py --workload routed-wire --seed 1 --seconds 2 --trace 0
 
-echo "== bench gate: E20-E23 kernel + transport regression check =="
+echo "== bench gate: E20-E24 kernel + transport groups, parent vs change on this host =="
 scripts/bench_check.sh
 
 echo "== ci.sh: all green =="

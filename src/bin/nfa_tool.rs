@@ -121,6 +121,7 @@ use lsc_core::engine::{
 };
 use lsc_core::fpras::FprasParams;
 use lsc_core::serve::protocol::InstanceSpec;
+use lsc_core::serve::DEFAULT_PAGE_SIZE;
 
 /// The alphabet of a `--regex` pattern without `--alphabet`.
 const DEFAULT_ALPHABET: &str = "01";
@@ -326,7 +327,10 @@ fn run_batch(args: &Args) {
         }
     };
     let seed = args.seed();
-    let page_size = args.get_usize("page-size").unwrap_or(100).max(1);
+    let page_size = args
+        .get_usize("page-size")
+        .unwrap_or(DEFAULT_PAGE_SIZE)
+        .max(1);
     let engine = engine(args, RouterConfig::default());
     // Phase 1 — the session flow: each line resolves to an instance handle
     // (compiling its pattern at most once engine-wide), so the answers
@@ -818,7 +822,10 @@ fn run_query(args: &Args) {
             println!("{count}");
         }
         "enumerate" => {
-            let page_size = args.get_usize("page-size").unwrap_or(100).max(1);
+            let page_size = args
+                .get_usize("page-size")
+                .unwrap_or(DEFAULT_PAGE_SIZE)
+                .max(1);
             let mut remaining = args.get_usize("limit").unwrap_or(usize::MAX);
             let mut done = false;
             while remaining > 0 && !done {

@@ -425,6 +425,22 @@ proptest! {
     }
 }
 
+#[test]
+fn megabyte_request_lines_allocate_within_the_input_bound() {
+    // An unread member (1 MiB) and a line that is not an object (768 KiB).
+    // A parse that built them spent 32 bytes per element, and the element
+    // counts sit just past a power of two, where the `Vec` doubling
+    // overshoots most: 32x and 21x the line.
+    let hello = format!(r#"{{"op":"hello","x":[{}1]}}"#, "1,".repeat(1 << 19));
+    let arrays = format!("[{}[]]", "[],".repeat(1 << 18));
+    for (line, parses) in [(hello, true), (arrays, false)] {
+        // The error quotes the line; keep only its verdict.
+        let outcome = parse_untrusted(&line)
+            .map_err(|e| e.rsplit_once(": ").map(|(_, verdict)| verdict.to_string()));
+        assert_eq!(outcome, Ok(parses));
+    }
+}
+
 // ---- untrusted snapshots ----
 
 /// FNV-1a(64), the snapshot payload checksum (docs/ARCHITECTURE.md §5.1).
