@@ -69,11 +69,21 @@ impl Alphabet {
         0..self.chars.len() as Symbol
     }
 
-    /// The display name of a symbol.
+    /// The display name of a symbol: its character, or `⟨id⟩` on an
+    /// anonymous alphabet.
     pub fn name(&self, s: Symbol) -> String {
-        match self.chars.get(s as usize) {
-            Some(Some(c)) => c.to_string(),
-            _ => format!("⟨{s}⟩"),
+        let mut name = String::new();
+        self.write_name(&mut name, s).expect("write to String");
+        name
+    }
+
+    /// Writes the display name of a symbol ([`Alphabet::name`]) without
+    /// allocating: a character is pushed as is, and only the anonymous
+    /// `⟨id⟩` form is formatted.
+    pub fn write_name(&self, out: &mut impl fmt::Write, s: Symbol) -> fmt::Result {
+        match self.char_of(s) {
+            Some(c) => out.write_char(c),
+            None => write!(out, "⟨{s}⟩"),
         }
     }
 
@@ -96,7 +106,7 @@ impl fmt::Display for Alphabet {
             if i > 0 {
                 write!(f, ",")?;
             }
-            write!(f, "{}", self.name(s))?;
+            self.write_name(f, s)?;
         }
         write!(f, "}}")
     }

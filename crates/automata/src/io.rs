@@ -41,13 +41,7 @@ impl std::error::Error for NfaParseError {}
 pub fn to_text(nfa: &Nfa) -> String {
     let mut out = String::new();
     let alphabet = nfa.alphabet();
-    let named: Option<String> = (0..alphabet.len() as Symbol)
-        .map(|s| {
-            let name = alphabet.name(s);
-            (name.chars().count() == 1).then(|| name.chars().next().unwrap())
-        })
-        .collect::<Option<Vec<char>>>()
-        .map(|cs| cs.into_iter().collect());
+    let named: Option<String> = alphabet.symbols().map(|s| alphabet.char_of(s)).collect();
     match &named {
         Some(chars) => writeln!(out, "alphabet: {chars}").unwrap(),
         None => writeln!(out, "alphabet: sized {}", alphabet.len()).unwrap(),
@@ -58,11 +52,12 @@ pub fn to_text(nfa: &Nfa) -> String {
     writeln!(out, "accepting: {}", finals.join(" ")).unwrap();
     for q in 0..nfa.num_states() {
         for &(s, t) in nfa.transitions_from(q) {
-            let sym = match &named {
-                Some(_) => alphabet.name(s),
-                None => s.to_string(),
-            };
-            writeln!(out, "{q} {sym} {t}").unwrap();
+            write!(out, "{q} ").unwrap();
+            match &named {
+                Some(_) => alphabet.write_name(&mut out, s).unwrap(),
+                None => write!(out, "{s}").unwrap(),
+            }
+            writeln!(out, " {t}").unwrap();
         }
     }
     out

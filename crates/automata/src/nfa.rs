@@ -301,7 +301,9 @@ impl fmt::Display for Nfa {
         writeln!(f, "{}", self.describe())?;
         for (q, row) in self.transitions.iter().enumerate() {
             for &(a, t) in row {
-                writeln!(f, "  {q} --{}--> {t}", self.alphabet.name(a))?;
+                write!(f, "  {q} --")?;
+                self.alphabet.write_name(f, a)?;
+                writeln!(f, "--> {t}")?;
             }
         }
         Ok(())

@@ -55,7 +55,7 @@ impl Regex {
             match r {
                 Regex::Empty => out.push('∅'),
                 Regex::Epsilon => out.push('ε'),
-                Regex::Literal(s) => out.push_str(&alphabet.name(*s)),
+                Regex::Literal(s) => alphabet.write_name(out, *s).expect("write to String"),
                 Regex::AnySymbol => out.push('.'),
                 Regex::Concat(parts) => {
                     for p in parts {

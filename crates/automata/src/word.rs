@@ -10,7 +10,11 @@ pub type Word = Vec<Symbol>;
 
 /// Renders a word through an alphabet, e.g. `[0,1,0]` over `{a,b}` → `"aba"`.
 pub fn format_word(word: &[Symbol], alphabet: &Alphabet) -> String {
-    word.iter().map(|&s| alphabet.name(s)).collect()
+    let mut out = String::with_capacity(word.len());
+    for &s in word {
+        alphabet.write_name(&mut out, s).expect("write to String");
+    }
+    out
 }
 
 /// Parses a string into a word, failing on characters outside the alphabet.
@@ -28,6 +32,7 @@ mod tests {
         let w = parse_word("abba", &ab).unwrap();
         assert_eq!(w, vec![0, 1, 1, 0]);
         assert_eq!(format_word(&w, &ab), "abba");
+        assert_eq!(format_word(&[1, 0, 2], &Alphabet::sized(3)), "⟨1⟩⟨0⟩⟨2⟩");
         assert_eq!(parse_word("abc", &ab), None);
         assert_eq!(parse_word("", &ab), Some(vec![]));
     }

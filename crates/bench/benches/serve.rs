@@ -33,6 +33,11 @@
 //!
 //! `scripts/bench_check.sh` gates E20, E23 and the E24 failover cycle
 //! against the parent commit on the same host.
+//!
+//! The vendored `Criterion` calls a `bench_function` closure only when its
+//! id passes the filter, so every group builds its servers, herds and
+//! snapshot stores inside the closures: once per selected group, and not
+//! at all for a filter that skips it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -42,7 +47,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsc_bench::workloads;
 use lsc_core::engine::RouterConfig;
 use lsc_core::fpras::FprasParams;
-use lsc_core::serve::{ServeConfig, Server, Transport};
+use lsc_core::serve::{ServeConfig, Server, TcpServerHandle, Transport};
 
 /// A blocking line-protocol round trip on an existing connection.
 fn rpc(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str) -> String {
@@ -76,18 +81,19 @@ fn field<'a>(response: &'a str, key: &str) -> &'a str {
 fn serve_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve/e18-throughput");
     group.sample_size(10);
-    let server = Server::new(ServeConfig::default()).unwrap();
-    let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
-    let addr = handle.addr();
-    let w = workloads::engine_ufa_instance();
-    let text = Arc::new(lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n"));
-    let prepare_line = Arc::new(format!(
-        r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#,
-        w.n
-    ));
-    // Compile once so every bench iteration measures warm serving.
-    {
-        let (mut reader, mut writer) = connect(addr);
+    // One server for both ids, started by the first selected one.
+    let mut live: Option<(Server, TcpServerHandle, Arc<String>)> = None;
+    let start = || {
+        let server = Server::new(ServeConfig::default()).unwrap();
+        let handle = server.spawn_tcp("127.0.0.1:0").unwrap();
+        let w = workloads::engine_ufa_instance();
+        let text = lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n");
+        let prepare_line = Arc::new(format!(
+            r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#,
+            w.n
+        ));
+        // Compile once so every bench iteration measures warm serving.
+        let (mut reader, mut writer) = connect(handle.addr());
         let prepared = rpc(&mut reader, &mut writer, &prepare_line);
         let session = field(&prepared, "session").to_string();
         rpc(
@@ -95,9 +101,12 @@ fn serve_throughput(c: &mut Criterion) {
             &mut writer,
             &format!(r#"{{"op":"count","session":"{session}"}}"#),
         );
-    }
+        (server, handle, prepare_line)
+    };
     for clients in [1usize, 4] {
         group.bench_function(BenchmarkId::new("clients", clients), |b| {
+            let (_, handle, prepare_line) = live.get_or_insert_with(start);
+            let (addr, prepare_line) = (handle.addr(), &*prepare_line);
             b.iter(|| {
                 std::thread::scope(|scope| {
                     for _ in 0..clients {
@@ -117,8 +126,10 @@ fn serve_throughput(c: &mut Criterion) {
         });
     }
     group.finish();
-    handle.shutdown();
-    server.shutdown();
+    if let Some((server, mut handle, _)) = live {
+        handle.shutdown();
+        server.shutdown();
+    }
 }
 
 /// Warm-restart: server-start-to-first-answer, cold compile vs snapshot
@@ -160,20 +171,18 @@ fn serve_warm_restart(c: &mut Criterion) {
 
     // Warm: populate a snapshot directory once, then measure restarts.
     let dir = std::env::temp_dir().join(format!("lsc-bench-serve-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    {
-        let config = ServeConfig {
-            snapshot_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        };
-        let server = Server::new(small(config)).unwrap();
-        first_query(&server);
-        assert!(server.stats().snapshots_saved >= 1);
-        server.shutdown();
-    }
     group.bench_function(
         BenchmarkId::from_parameter("warm-restart-first-query"),
         |b| {
+            std::fs::remove_dir_all(&dir).ok();
+            let config = ServeConfig {
+                snapshot_dir: Some(dir.clone()),
+                ..ServeConfig::default()
+            };
+            let server = Server::new(small(config)).unwrap();
+            first_query(&server);
+            assert!(server.stats().snapshots_saved >= 1);
+            server.shutdown();
             b.iter(|| {
                 let config = ServeConfig {
                     snapshot_dir: Some(dir.clone()),
@@ -219,40 +228,40 @@ fn serve_shard_scaling(c: &mut Criterion) {
     group.sample_size(10);
     const CLIENTS: usize = 8;
     const COUNTS: usize = 8;
-    let w = workloads::engine_ufa_instance();
-    let text = Arc::new(lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n"));
     for shards in [1usize, 8] {
-        let mut config = ServeConfig {
-            shards,
-            workers: 8,
-            queue_depth: 256,
-            ..ServeConfig::default()
-        };
-        config.engine.cache_bytes = 2 << 30;
-        let server = Server::new(config).unwrap();
-        let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
-        let addr = handle.addr();
-        // Compile all 8 instances once; iterations measure warm serving.
-        {
-            let (mut reader, mut writer) = connect(addr);
-            for client in 0..CLIENTS {
-                let prepared = rpc(
-                    &mut reader,
-                    &mut writer,
-                    &format!(
-                        r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#,
-                        w.n + client
-                    ),
-                );
-                let session = field(&prepared, "session").to_string();
-                rpc(
-                    &mut reader,
-                    &mut writer,
-                    &format!(r#"{{"op":"count","session":"{session}"}}"#),
-                );
-            }
-        }
         group.bench_function(BenchmarkId::new("shards", shards), |b| {
+            let w = workloads::engine_ufa_instance();
+            let text = Arc::new(lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n"));
+            let mut config = ServeConfig {
+                shards,
+                workers: 8,
+                queue_depth: 256,
+                ..ServeConfig::default()
+            };
+            config.engine.cache_bytes = 2 << 30;
+            let server = Server::new(config).unwrap();
+            let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
+            let addr = handle.addr();
+            // Compile all 8 instances once; iterations measure warm serving.
+            {
+                let (mut reader, mut writer) = connect(addr);
+                for client in 0..CLIENTS {
+                    let prepared = rpc(
+                        &mut reader,
+                        &mut writer,
+                        &format!(
+                            r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#,
+                            w.n + client
+                        ),
+                    );
+                    let session = field(&prepared, "session").to_string();
+                    rpc(
+                        &mut reader,
+                        &mut writer,
+                        &format!(r#"{{"op":"count","session":"{session}"}}"#),
+                    );
+                }
+            }
             b.iter(|| {
                 std::thread::scope(|scope| {
                     for client in 0..CLIENTS {
@@ -276,9 +285,9 @@ fn serve_shard_scaling(c: &mut Criterion) {
                     }
                 });
             });
+            handle.shutdown();
+            server.shutdown();
         });
-        handle.shutdown();
-        server.shutdown();
     }
     group.finish();
 }
@@ -331,22 +340,20 @@ fn serve_sketch_persistence(c: &mut Criterion) {
         });
     });
 
-    // Populate the store once: the prepare persists the instance, the count
-    // materializes the sketch, and the post-count save re-persists it as a
-    // v2 snapshot with the sketch section.
     let dir = std::env::temp_dir().join(format!("lsc-bench-sketch-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    {
-        let mut config = fpras_config();
-        config.snapshot_dir = Some(dir.clone());
-        let server = Server::new(config).unwrap();
-        first_count(&server);
-        assert!(server.stats().snapshots_saved >= 1);
-        server.shutdown();
-    }
     group.bench_function(
         BenchmarkId::from_parameter("warm-restart-first-count"),
         |b| {
+            // Populate the store once: the prepare persists the instance,
+            // the count materializes the sketch, and the post-count save
+            // re-persists it as a v2 snapshot with the sketch section.
+            std::fs::remove_dir_all(&dir).ok();
+            let mut config = fpras_config();
+            config.snapshot_dir = Some(dir.clone());
+            let server = Server::new(config).unwrap();
+            first_count(&server);
+            assert!(server.stats().snapshots_saved >= 1);
+            server.shutdown();
             b.iter(|| {
                 let mut config = fpras_config();
                 config.snapshot_dir = Some(dir.clone());
@@ -388,39 +395,39 @@ fn serve_connection_scaling(c: &mut Criterion) {
         transports.push(("event-loop", Transport::EventLoop));
     }
     for (name, transport) in transports {
-        let server = Server::new(ServeConfig {
-            transport,
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
-        let addr = handle.addr();
-        // The herd: each connection says hello once, then goes silent.
-        let herd: Vec<_> = (0..idle)
-            .map(|_| {
-                let (mut reader, mut writer) = connect(addr);
-                rpc(&mut reader, &mut writer, r#"{"op":"hello","proto":1}"#);
-                (reader, writer)
-            })
-            .collect();
-        let (mut reader, mut writer) = connect(addr);
-        let w = workloads::engine_ufa_instance();
-        let text = lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n");
-        let prepared = rpc(
-            &mut reader,
-            &mut writer,
-            &format!(r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#, w.n),
-        );
-        let session = field(&prepared, "session").to_string();
-        let count_line = format!(r#"{{"op":"count","session":"{session}"}}"#);
-        rpc(&mut reader, &mut writer, &count_line); // warm the route
         group.bench_function(BenchmarkId::new(name, format!("idle{idle}")), |b| {
+            let server = Server::new(ServeConfig {
+                transport,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let mut handle = server.spawn_tcp("127.0.0.1:0").unwrap();
+            let addr = handle.addr();
+            // The herd: each connection says hello once, then goes silent.
+            let herd: Vec<_> = (0..idle)
+                .map(|_| {
+                    let (mut reader, mut writer) = connect(addr);
+                    rpc(&mut reader, &mut writer, r#"{"op":"hello","proto":1}"#);
+                    (reader, writer)
+                })
+                .collect();
+            let (mut reader, mut writer) = connect(addr);
+            let w = workloads::engine_ufa_instance();
+            let text = lsc_automata::io::to_text(&w.nfa).replace('\n', "\\n");
+            let prepared = rpc(
+                &mut reader,
+                &mut writer,
+                &format!(r#"{{"op":"prepare","nfa_text":"{text}","length":{}}}"#, w.n),
+            );
+            let session = field(&prepared, "session").to_string();
+            let count_line = format!(r#"{{"op":"count","session":"{session}"}}"#);
+            rpc(&mut reader, &mut writer, &count_line); // warm the route
             b.iter(|| rpc(&mut reader, &mut writer, &count_line));
+            drop((reader, writer));
+            drop(herd);
+            handle.shutdown();
+            server.shutdown();
         });
-        drop((reader, writer));
-        drop(herd);
-        handle.shutdown();
-        server.shutdown();
     }
     group.finish();
 }

@@ -104,7 +104,18 @@ impl ResumeToken {
 
     /// Serializes to the compact wire format (see the type docs).
     pub fn encode(&self) -> String {
-        let mut s = format!("{TOKEN_PREFIX}.{:016x}.{}.", self.fingerprint, self.rank);
+        use std::fmt::Write as _;
+
+        let entries = match &self.pos {
+            CursorPos::Constant(decisions) => decisions.len(),
+            CursorPos::Poly(word) => word.len(),
+            CursorPos::Start | CursorPos::Done => 0,
+        };
+        // One allocation for the usual token: the header, and a few
+        // digits per entry.
+        let mut s = String::with_capacity(64 + 8 * entries);
+        let header = write!(s, "{TOKEN_PREFIX}.{:016x}.{}.", self.fingerprint, self.rank);
+        header.expect("write to String");
         match &self.pos {
             CursorPos::Start => s.push('s'),
             CursorPos::Done => s.push('d'),
@@ -114,7 +125,7 @@ impl ResumeToken {
                     if i > 0 {
                         s.push('-');
                     }
-                    s.push_str(&format!("{v}:{e}"));
+                    write!(s, "{v}:{e}").expect("write to String");
                 }
             }
             CursorPos::Poly(word) => {
@@ -123,7 +134,7 @@ impl ResumeToken {
                     if i > 0 {
                         s.push('-');
                     }
-                    s.push_str(&sym.to_string());
+                    write!(s, "{sym}").expect("write to String");
                 }
             }
         }

@@ -13,6 +13,8 @@
 
 use std::fmt::Write as _;
 
+use lsc_automata::{Alphabet, Symbol};
+
 /// A JSON value. Objects keep their insertion order (encoding is
 /// deterministic); lookup is linear, which is fine at protocol-message
 /// sizes.
@@ -30,6 +32,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// Text that is already JSON, written as is: a reply member encoded
+    /// straight from where its data lives (a witness page, see
+    /// [`WordFormat::array`]). [`parse`] never produces it.
+    Encoded(String),
 }
 
 impl Json {
@@ -112,6 +118,7 @@ impl Json {
                 }
             }
             Json::Str(s) => write_escaped(out, s),
+            Json::Encoded(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -138,24 +145,121 @@ impl Json {
     }
 }
 
+/// Writes `s` as a JSON string: runs with nothing to escape are copied
+/// whole, and only the bytes [`needs_escape`] picks out are rewritten.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to String");
-            }
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..at]);
+        push_escape(out, rest.as_bytes()[at]);
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// Whether a byte must be escaped inside a JSON string: the quote, the
+/// backslash and the control bytes. All are ASCII, so a UTF-8 string can
+/// be scanned bytewise and split at them on char boundaries.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// The escape for a byte [`needs_escape`] picks out.
+fn push_escape(out: &mut String, b: u8) {
+    match b {
+        b'"' => out.push_str("\\\""),
+        b'\\' => out.push_str("\\\\"),
+        b'\n' => out.push_str("\\n"),
+        b'\r' => out.push_str("\\r"),
+        b'\t' => out.push_str("\\t"),
+        0x08 => out.push_str("\\b"),
+        0x0C => out.push_str("\\f"),
+        b => write!(out, "\\u{b:04x}").expect("write to String"),
+    }
+}
+
+/// The byte to escape, if `c` is one that [`needs_escape`] picks out.
+fn escaped_byte(c: char) -> Option<u8> {
+    u8::try_from(c).ok().filter(|&b| needs_escape(b))
+}
+
+/// The most a word array reserves up front; a page past it grows by
+/// doubling. A page that ends early (the stream ran out) never holds more
+/// than this unused.
+const MAX_RESERVE_BYTES: usize = 1 << 20;
+
+/// How one alphabet's words encode as JSON strings. A session builds it
+/// once, when it opens: the alphabet, and the longest encoded symbol,
+/// which sizes a word array before it is written.
+#[derive(Clone, Debug)]
+pub struct WordFormat {
+    alphabet: Alphabet,
+    symbol_bytes: usize,
+}
+
+impl WordFormat {
+    /// The encoding of `alphabet`'s words.
+    pub fn new(alphabet: Alphabet) -> WordFormat {
+        let symbol_bytes = alphabet
+            .symbols()
+            .map(|s| match alphabet.char_of(s) {
+                // An escape is at most `\uXXXX`.
+                Some(c) if escaped_byte(c).is_some() => 6,
+                Some(c) => c.len_utf8(),
+                // `⟨id⟩`: two 3-byte brackets around the digits.
+                None => 6 + s.checked_ilog10().map_or(1, |d| d as usize + 1),
+            })
+            .max()
+            .unwrap_or(0);
+        WordFormat {
+            alphabet,
+            symbol_bytes,
         }
     }
-    out.push('"');
+
+    /// Writes one word as a JSON string: what `Json::Str` of
+    /// `format_word(word, alphabet)` encodes to, byte for byte.
+    fn write(&self, out: &mut String, word: &[Symbol]) {
+        out.push('"');
+        for &s in word {
+            match self.alphabet.char_of(s) {
+                Some(c) => match escaped_byte(c) {
+                    Some(b) => push_escape(out, b),
+                    None => out.push(c),
+                },
+                None => self.alphabet.write_name(out, s).expect("write to String"),
+            }
+        }
+        out.push('"');
+    }
+
+    /// A JSON array of words, encoded as they are produced: `fill` gets a
+    /// `push` to call on each word, and the array comes back as one
+    /// [`Json::Encoded`] value with how many words were pushed. Room for
+    /// `count` words of `length` symbols is reserved first, so the array
+    /// costs no allocation per word.
+    pub fn array(
+        &self,
+        (count, length): (usize, usize),
+        fill: impl FnOnce(&mut dyn FnMut(&[Symbol])),
+    ) -> (Json, usize) {
+        let per_word = length.saturating_mul(self.symbol_bytes).saturating_add(3);
+        let bytes = count.saturating_mul(per_word).saturating_add(2);
+        let mut out = String::with_capacity(bytes.min(MAX_RESERVE_BYTES));
+        out.push('[');
+        let mut pushed = 0;
+        fill(&mut |word| {
+            if pushed > 0 {
+                out.push(',');
+            }
+            self.write(&mut out, word);
+            pushed += 1;
+        });
+        out.push(']');
+        (Json::Encoded(out), pushed)
+    }
 }
 
 /// Why a line failed to parse as JSON.
@@ -572,6 +676,85 @@ mod tests {
         assert!(parse_object(&member(MAX_DEPTH - 1), &[]).is_ok());
         assert!(parse_object(&member(MAX_DEPTH), &[]).is_err());
         assert!(parse_object(&arrays(MAX_DEPTH + 1), &[]).is_err());
+    }
+
+    /// The escaper the encoder had before runs were copied whole: one
+    /// char at a time. Kept as the reference the encoder must match.
+    fn escaped_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// The alphabets the word writer is checked on: every escape class,
+    /// multi-byte chars (`⟨` is also the anonymous names' bracket), plain
+    /// binary, and an anonymous alphabet whose names have 1 to 3 digits.
+    fn word_alphabets() -> [Alphabet; 3] {
+        [
+            Alphabet::from_chars(&['"', '\\', '\n', '\u{1}', 'é', '⟨', 'a', '\t']),
+            Alphabet::binary(),
+            Alphabet::sized(300),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_arrays_encode_as_the_per_word_values_do(
+            pick in 0usize..3,
+            symbols in proptest::collection::vec(0u32..300, 0..200),
+            cuts in proptest::collection::vec(0usize..200, 0..12),
+        ) {
+            let alphabet = word_alphabets()[pick].clone();
+            let symbols: Vec<Symbol> = symbols
+                .iter()
+                .map(|&s| s % alphabet.len() as Symbol)
+                .collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(symbols.len())).collect();
+            cuts.sort_unstable();
+            let words: Vec<&[Symbol]> = std::iter::once(0)
+                .chain(cuts.iter().copied())
+                .zip(cuts.iter().copied().chain(std::iter::once(symbols.len())))
+                .map(|(from, to)| &symbols[from..to])
+                .collect();
+            // The reference: one `String` per symbol, one value per word.
+            let values: Vec<Json> = words
+                .iter()
+                .map(|w| Json::Str(w.iter().map(|&s| alphabet.name(s)).collect()))
+                .collect();
+            for value in &values {
+                let text = value.as_str().unwrap();
+                proptest::prop_assert_eq!(value.encode(), escaped_by_char(text));
+            }
+            let reference = Json::Obj(vec![
+                ("words".to_string(), Json::Arr(values)),
+                ("n".to_string(), Json::num(7.0)),
+            ])
+            .encode();
+            let (array, pushed) = WordFormat::new(alphabet).array((words.len(), 8), |push| {
+                words.iter().for_each(|w| push(w));
+            });
+            proptest::prop_assert_eq!(pushed, words.len());
+            let written = Json::Obj(vec![
+                ("words".to_string(), array),
+                ("n".to_string(), Json::num(7.0)),
+            ]);
+            proptest::prop_assert_eq!(written.encode(), reference);
+        }
     }
 
     #[test]

@@ -25,12 +25,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// One queued request: what to run, what to do instead if the deadline
-/// passed while queued.
+/// One queued request: what to run (given the `completed` counter, which
+/// it bumps between its work and its hand-off), what to do instead if the
+/// deadline passed while queued.
 struct Job {
     enqueued: Instant,
     deadline: Duration,
-    work: Box<dyn FnOnce() + Send>,
+    work: Box<dyn FnOnce(&AtomicU64) + Send>,
     expire: Box<dyn FnOnce() + Send>,
 }
 
@@ -124,6 +125,24 @@ impl WorkerPool {
         work: impl FnOnce() + Send + 'static,
         expire: impl FnOnce() + Send + 'static,
     ) -> Result<(), SubmitError> {
+        self.submit_then(deadline, work, |()| {}, expire)
+    }
+
+    /// [`WorkerPool::submit`] with a hand-off: the worker counts the job
+    /// completed after `work` returns and before it runs `then` on the
+    /// result. The server delivers its reply in `then`, so a client that
+    /// reads [`PoolStats::completed`] right after its last answer sees that
+    /// job counted; work that panics never reaches the count.
+    ///
+    /// # Errors
+    /// As [`WorkerPool::submit`].
+    pub fn submit_then<R>(
+        &self,
+        deadline: Duration,
+        work: impl FnOnce() -> R + Send + 'static,
+        then: impl FnOnce(R) + Send + 'static,
+        expire: impl FnOnce() + Send + 'static,
+    ) -> Result<(), SubmitError> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(SubmitError::Shutdown);
         }
@@ -136,7 +155,11 @@ impl WorkerPool {
         queue.push_back(Job {
             enqueued: Instant::now(),
             deadline,
-            work: Box::new(work),
+            work: Box::new(move |completed: &AtomicU64| {
+                let result = work();
+                completed.fetch_add(1, Ordering::Relaxed);
+                then(result);
+            }),
             expire: Box::new(expire),
         });
         drop(queue);
@@ -286,8 +309,7 @@ fn worker_loop(inner: &PoolInner) {
             inner.expired.fetch_add(1, Ordering::Relaxed);
             (job.expire)();
         } else {
-            (job.work)();
-            inner.completed.fetch_add(1, Ordering::Relaxed);
+            (job.work)(&inner.completed);
         }
     }
 }

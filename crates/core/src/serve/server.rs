@@ -30,8 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use lsc_automata::{format_word, Alphabet, Word};
-
 use crate::engine::{
     CountRoute, EngineConfig, EngineStats, PreparedInstance, QueryError, ResumeToken,
     ShardedConfig, ShardedEngine, SnapshotStore, SweepReport, WarmReport,
@@ -481,7 +479,6 @@ impl ServerInner {
         let slot = DoneSlot::new(done);
         let work = {
             let inner = self.clone();
-            let slot = slot.clone();
             let line = line.clone();
             move || {
                 if let Some(plan) = &inner.config.faults {
@@ -494,9 +491,14 @@ impl ServerInner {
                         }
                     }
                 }
-                let reply = inner.handle_line(conn, &line);
-                slot.fire(reply);
+                inner.handle_line(conn, &line)
             }
+        };
+        // The pool counts the job completed before this delivers its
+        // reply, so a client holding the reply sees the job in `stats`.
+        let deliver = {
+            let slot = slot.clone();
+            move |reply| slot.fire(reply)
         };
         let expire = {
             let slot = slot.clone();
@@ -514,7 +516,7 @@ impl ServerInner {
             }
         };
         let deadline = self.config.deadline.saturating_sub(waited);
-        match self.pool.submit(deadline, work, expire) {
+        match self.pool.submit_then(deadline, work, deliver, expire) {
             Ok(()) => Ok(()),
             Err(refusal) => {
                 // The job never entered the queue: the refusal reply below
@@ -664,19 +666,19 @@ impl ServerInner {
                             None => me.engine.cursor(&s.handle),
                         },
                     };
-                    // Stream the page straight off the cursor's lent buffer:
-                    // each witness is formatted at the protocol boundary
-                    // without materializing an owned `Word` per row.
-                    let mut words = Vec::new();
-                    while words.len() < page_size {
-                        match cursor.advance() {
-                            Some(w) => words.push(Json::str(format_word(w, &s.alphabet))),
-                            None => break,
+                    // Encode the page straight off the cursor's lent buffer:
+                    // no owned `Word` and no JSON value per witness.
+                    let size = (page_size, s.handle.length());
+                    let (words, returned) = s.words.array(size, |push| {
+                        for _ in 0..page_size {
+                            match cursor.advance() {
+                                Some(w) => push(w),
+                                None => break,
+                            }
                         }
-                    }
-                    let returned = words.len();
+                    });
                     let fields = vec![
-                        ("words".to_string(), Json::Arr(words)),
+                        ("words".to_string(), words),
                         ("returned".to_string(), Json::num(returned as f64)),
                         ("rank".to_string(), Json::num(cursor.rank() as f64)),
                         ("done".to_string(), Json::Bool(cursor.is_done())),
@@ -700,9 +702,13 @@ impl ServerInner {
                         .sample_on(&s.handle, seed, count)
                         .map_err(wire_query_error)?;
                     me.maybe_snapshot(s.handle.instance());
+                    let size = (words.len(), s.handle.length());
+                    let (array, returned) = s.words.array(size, |push| {
+                        words.iter().for_each(|w| push(w));
+                    });
                     Ok(vec![
-                        ("words".to_string(), format_words(&words, &s.alphabet)),
-                        ("returned".to_string(), Json::num(words.len() as f64)),
+                        ("words".to_string(), array),
+                        ("returned".to_string(), Json::num(returned as f64)),
                         ("cache_hit".to_string(), Json::Bool(cache_hit)),
                     ])
                 })
@@ -933,15 +939,6 @@ fn wire_query_error(error: QueryError) -> WireError {
     }
 }
 
-fn format_words(words: &[Word], alphabet: &Alphabet) -> Json {
-    Json::Arr(
-        words
-            .iter()
-            .map(|w| Json::str(format_word(w, alphabet)))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1039,6 +1036,79 @@ mod tests {
             value.get("code").and_then(Json::as_str),
             Some("unknown-session")
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn witness_replies_carry_exactly_the_engine_words_on_escaping_alphabets() {
+        // Every JSON escape class plus multi-byte chars, and an anonymous
+        // alphabet whose words print as `⟨id⟩` runs.
+        let escaping = InstanceSpec::Regex {
+            pattern: ".*".to_string(),
+            alphabet: Some("\"\\\n\u{1}é⟨".to_string()),
+        };
+        let transitions: String = (0..12).map(|s| format!("0 {s} 0\n")).collect();
+        let anonymous = InstanceSpec::NfaText(format!(
+            "alphabet: sized 12\nstates: 1\ninitial: 0\naccepting: 0\n{transitions}"
+        ));
+        let server = server();
+        let conn = server.open_conn();
+        for (spec, length) in [(escaping, 3), (anonymous, 2)] {
+            let (nfa, alphabet) = spec.compile("01", length).unwrap();
+            let line = match &spec {
+                InstanceSpec::Regex { pattern, alphabet } => Json::Obj(vec![
+                    ("op".to_string(), Json::str("prepare")),
+                    ("regex".to_string(), Json::str(pattern.as_str())),
+                    ("alphabet".to_string(), Json::str(alphabet.clone().unwrap())),
+                    ("length".to_string(), Json::num(length as f64)),
+                ]),
+                InstanceSpec::NfaText(text) => Json::Obj(vec![
+                    ("op".to_string(), Json::str("prepare")),
+                    ("nfa_text".to_string(), Json::str(text.as_str())),
+                    ("length".to_string(), Json::num(length as f64)),
+                ]),
+            };
+            let prepared = ok(&server.handle_line(conn, &line.encode()));
+            let session = prepared.get("session").unwrap().as_str().unwrap();
+            let words = |reply: &Json| -> Vec<String> {
+                let words = reply.get("words").unwrap().as_arr().unwrap();
+                words
+                    .iter()
+                    .map(|w| w.as_str().unwrap().to_string())
+                    .collect()
+            };
+            let handle = server.engine().prepare_nfa(&Arc::new(nfa), length);
+
+            let mut expected = Vec::new();
+            let mut cursor = server.engine().cursor(&handle);
+            while let Some(word) = cursor.advance() {
+                expected.push(lsc_automata::format_word(word, &alphabet));
+            }
+            assert_eq!(expected.len(), alphabet.len().pow(length as u32));
+            let mut paged = Vec::new();
+            loop {
+                let page = ok(&server.handle_line(
+                    conn,
+                    &format!(r#"{{"op":"enumerate","session":"{session}","page_size":50}}"#),
+                ));
+                paged.extend(words(&page));
+                if page.get("done") == Some(&Json::Bool(true)) {
+                    break;
+                }
+            }
+            assert_eq!(paged, expected);
+
+            let (draws, _) = server.engine().sample_on(&handle, 11, 40).unwrap();
+            let expected: Vec<String> = draws
+                .iter()
+                .map(|w| lsc_automata::format_word(w, &alphabet))
+                .collect();
+            let sample = ok(&server.handle_line(
+                conn,
+                &format!(r#"{{"op":"sample","session":"{session}","count":40,"seed":11}}"#),
+            ));
+            assert_eq!(words(&sample), expected);
+        }
         server.shutdown();
     }
 

@@ -28,14 +28,15 @@ use std::time::{Duration, Instant};
 use lsc_automata::Alphabet;
 
 use crate::engine::{InstanceHandle, WordCursor};
+use crate::serve::json::WordFormat;
 
 /// One open session: the pinned instance, how to print its witnesses, and
 /// the live cursor (if an enumeration is in flight).
 pub struct Session {
     /// The pinned prepared instance.
     pub handle: InstanceHandle,
-    /// Formats witnesses for the wire.
-    pub alphabet: Alphabet,
+    /// How witnesses are written on the wire.
+    pub words: WordFormat,
     /// The live enumeration cursor, if any.
     pub cursor: Option<WordCursor>,
     last_used: Instant,
@@ -81,7 +82,7 @@ impl SessionRegistry {
             (conn, name.clone()),
             Session {
                 handle,
-                alphabet,
+                words: WordFormat::new(alphabet),
                 cursor: None,
                 last_used: now,
             },

@@ -18,6 +18,9 @@
 //! thread), so nothing it allocates escapes its counter. Untrusted request
 //! lines get the same treatment: `parse_request` answers a request or a
 //! typed `bad-request`, within a constant factor of the line's length.
+//! Witness replies are pinned by allocation *calls*, which the allocator
+//! counts beside bytes: a warm page makes as many for 1000 words as for
+//! 100, and a warm sample one per draw plus a constant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,6 +28,7 @@ use std::sync::Arc;
 
 use logspace_repro::prelude::*;
 use lsc_automata::families::random_ufa;
+use lsc_core::serve::{ServeConfig, Server};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,14 +39,21 @@ thread_local! {
     // `const`-initialized and without a destructor, so touching it from
     // inside the allocator never allocates or registers anything.
     static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATION_CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Charges one `alloc` or `realloc` call that may take `bytes` new bytes.
 fn count(bytes: usize) {
     let _ = ALLOCATED_BYTES.try_with(|total| total.set(total.get() + bytes));
+    let _ = ALLOCATION_CALLS.try_with(|calls| calls.set(calls.get() + 1));
 }
 
 fn allocated_so_far() -> usize {
     ALLOCATED_BYTES.with(Cell::get)
+}
+
+fn calls_so_far() -> usize {
+    ALLOCATION_CALLS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -70,6 +81,94 @@ fn allocated_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let before = allocated_so_far();
     let value = f();
     (allocated_so_far() - before, value)
+}
+
+/// How many `alloc`/`realloc` calls `f` makes on this thread.
+fn allocation_calls_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = calls_so_far();
+    let value = f();
+    (calls_so_far() - before, value)
+}
+
+// ---- witness replies ----
+
+/// A server, a connection and a session on `(0|1)*` at `length` (one word
+/// per binary string), with the reply path warmed: one page and one
+/// sample of each size the caller measures have run.
+fn witness_session(length: usize) -> (Server, u64, String) {
+    let server = Server::new(ServeConfig::default()).unwrap();
+    let conn = server.open_conn();
+    let prepared = server.handle_line(
+        conn,
+        &format!(r#"{{"op":"prepare","regex":"(0|1)*","length":{length}}}"#),
+    );
+    let tag = r#""session":""#;
+    let start = prepared.text.find(tag).expect("prepared") + tag.len();
+    let end = start + prepared.text[start..].find('"').unwrap();
+    let session = prepared.text[start..end].to_string();
+    for size in [100, 1000] {
+        reply_calls(&server, conn, &page_line(&session, size));
+        reply_calls(&server, conn, &sample_line(&session, size));
+    }
+    (server, conn, session)
+}
+
+fn page_line(session: &str, size: usize) -> String {
+    format!(r#"{{"op":"enumerate","session":"{session}","page_size":{size}}}"#)
+}
+
+fn sample_line(session: &str, count: usize) -> String {
+    format!(r#"{{"op":"sample","session":"{session}","count":{count},"seed":5}}"#)
+}
+
+/// Allocation calls of one warm `line` through `Server::handle_line`,
+/// with the reply's length.
+fn reply_calls(server: &Server, conn: u64, line: &str) -> (usize, usize) {
+    let (calls, reply) = allocation_calls_during(|| server.handle_line(conn, line));
+    assert!(reply.text.contains("\"ok\":true"), "{}", reply.text);
+    (calls, reply.text.len())
+}
+
+/// The allocation calls a warm reply may make besides one per drawn word:
+/// the request's parse, the reply's members and its buffer, a page's token.
+const REPLY_CALLS: usize = 64;
+
+#[test]
+fn witness_replies_make_no_allocation_per_word() {
+    // Pages and samples are written straight into the reply line from the
+    // words the cursor lends and the sampler draws. A reply that built a
+    // `String` per symbol or a JSON value per word made 23 calls per word
+    // at length 20 and 44 at length 40.
+    let mut pages = Vec::new();
+    for length in [20, 40] {
+        let (server, conn, session) = witness_session(length);
+        for size in [100, 1000] {
+            let (calls, bytes) = reply_calls(&server, conn, &page_line(&session, size));
+            assert!(bytes > size * length, "a full page of {size} words");
+            pages.push((length, size, calls));
+        }
+        // The one call per draw is the drawn `Word` the sampler returns.
+        for count in [100, 1000] {
+            let (calls, bytes) = reply_calls(&server, conn, &sample_line(&session, count));
+            assert!(bytes > count * length, "{count} draws");
+            assert!(
+                calls <= count + REPLY_CALLS,
+                "a warm {count}-draw sample at length {length} made {calls} allocation calls"
+            );
+        }
+        server.shutdown();
+    }
+    // The same calls for 100 and 1000 words, at either length: what a
+    // page allocates is its reply buffer, its token and the request.
+    let (_, _, first) = pages[0];
+    assert!(
+        first < REPLY_CALLS,
+        "a warm page made {first} allocation calls"
+    );
+    assert!(
+        pages.iter().all(|&(_, _, calls)| calls == first),
+        "allocation calls per (length, page size, calls): {pages:?}"
+    );
 }
 
 #[test]
